@@ -9,6 +9,7 @@
 #include "graph/algorithms.h"
 #include "partition/partitioner.h"
 #include "routing/routing.h"
+#include "sim/arrivals.h"
 #include "sim/simulation.h"
 #include "sim/traffic.h"
 
@@ -103,5 +104,23 @@ static void BM_SimulatorCycles(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 300);
 }
 BENCHMARK(BM_SimulatorCycles)->Unit(benchmark::kMillisecond);
+
+// Injection clocks for the full Table 3 PS-IQ endpoint count, per
+// endpoint-cycle, at per-cycle packet probability 1/arg (80 = load 0.05
+// with 4-flit packets).
+static void BM_InjectionSkipAhead(benchmark::State& state) {
+  constexpr std::uint64_t kEndpoints = 5320;
+  sim::BernoulliArrivals clocks(kEndpoints, 1.0 / state.range(0), 1);
+  clocks.start(0, [](std::uint64_t) { return true; });
+  std::uint64_t cycle = 0, fired = 0;
+  for (auto _ : state) {
+    clocks.fire(cycle++, [&](std::uint64_t e, sim::EventDraws& draws) {
+      fired += (draws() % kEndpoints) != e;
+    });
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations() * kEndpoints);
+}
+BENCHMARK(BM_InjectionSkipAhead)->Arg(80)->Arg(13);
 
 BENCHMARK_MAIN();

@@ -40,32 +40,32 @@ Network::Network(std::shared_ptr<const topo::Topology> topo,
         reverse_port_[link];
   }
 
-  // Flatten minimal next hops into port candidate lists, and distances
-  // into one uint16 matrix (the DistanceMatrix narrowing convention:
-  // graph::kUnreachable <-> 0xFFFF; no pristine diameter comes near it).
-  route_ranges_.resize(static_cast<std::size_t>(n_) * n_);
-  dist_.resize(static_cast<std::size_t>(n_) * n_);
+  // Flatten distances and minimal next hops into one entry per pair (the
+  // DistanceMatrix narrowing convention: graph::kUnreachable <-> 0xFFFF;
+  // no pristine diameter comes near it).
+  routes_.resize(static_cast<std::size_t>(n_) * n_);
   std::vector<Vertex> hops;
   for (Vertex s = 0; s < n_; ++s) {
     for (Vertex d = 0; d < n_; ++d) {
-      const std::size_t idx = static_cast<std::size_t>(s) * n_ + d;
+      Route& r = routes_[static_cast<std::size_t>(s) * n_ + d];
       const std::uint32_t dist = routing_->distance(s, d);
       if (dist != graph::kUnreachable && dist >= 0xFFFFu) {
         throw std::logic_error("Network: routing distance overflows uint16");
       }
-      dist_[idx] = dist == graph::kUnreachable
-                       ? std::uint16_t{0xFFFFu}
-                       : static_cast<std::uint16_t>(dist);
-      const auto begin = static_cast<std::uint32_t>(route_ports_.size());
-      if (s != d) {
-        hops.clear();
-        routing_->next_hops(s, d, hops);
-        for (Vertex w : hops) {
-          route_ports_.push_back(static_cast<std::uint16_t>(port_toward(s, w)));
-        }
+      r.dist = dist == graph::kUnreachable ? std::uint16_t{0xFFFFu}
+                                           : static_cast<std::uint16_t>(dist);
+      hops.clear();
+      if (s != d) routing_->next_hops(s, d, hops);
+      r.count = static_cast<std::uint16_t>(hops.size());
+      std::uint16_t* out = r.ports;
+      if (hops.size() > kInlinePorts) {
+        const auto offset = static_cast<std::uint32_t>(overflow_ports_.size());
+        r.ports[0] = static_cast<std::uint16_t>(offset);
+        r.ports[1] = static_cast<std::uint16_t>(offset >> 16);
+        overflow_ports_.resize(offset + hops.size());
+        out = overflow_ports_.data() + offset;
       }
-      route_ranges_[idx] = {begin,
-                            static_cast<std::uint32_t>(route_ports_.size())};
+      for (Vertex w : hops) *out++ = static_cast<std::uint16_t>(port_toward(s, w));
     }
   }
 }

@@ -1,6 +1,6 @@
 // Static per-topology precomputation for the flit-level simulator: port
 // numbering (link ports first, then injection/ejection per endpoint slot),
-// flattened minimal-route port tables and a flattened distance matrix
+// one flattened (distance, minimal-route ports) table over router pairs
 // derived from a MinimalRouting, plus per-directed-link neighbor/peer/owner
 // arrays so the cycle loop never chases the shared_ptr/virtual routing
 // chain per hop.
@@ -74,16 +74,18 @@ class Network {
   /// Minimal-route candidate ports from cur toward dst (empty iff cur==dst).
   std::span<const std::uint16_t> route_ports(graph::Vertex cur,
                                              graph::Vertex dst) const {
-    const auto [b, e] = route_ranges_[static_cast<std::size_t>(cur) * n_ + dst];
-    return {route_ports_.data() + b, route_ports_.data() + e};
+    const Route& r = routes_[static_cast<std::size_t>(cur) * n_ + dst];
+    if (r.count <= kInlinePorts) return {r.ports, r.count};
+    return {overflow_ports_.data() + r.overflow_offset(), r.count};
   }
 
-  /// Pristine hop distance, resolved once at construction into a flat
-  /// uint16 array (0xFFFF = graph::kUnreachable, the DistanceMatrix
-  /// convention); bit-identical to routing().distance() but one load
-  /// instead of a virtual call into the analytic case analysis.
+  /// Pristine hop distance, resolved once at construction (0xFFFF =
+  /// graph::kUnreachable, the DistanceMatrix convention); bit-identical to
+  /// routing().distance() but one load instead of a virtual call into the
+  /// analytic case analysis.
   std::uint32_t distance(graph::Vertex src, graph::Vertex dst) const {
-    const std::uint16_t d = dist_[static_cast<std::size_t>(src) * n_ + dst];
+    const std::uint16_t d =
+        routes_[static_cast<std::size_t>(src) * n_ + dst].dist;
     return d == 0xFFFFu ? graph::kUnreachable : d;
   }
 
@@ -109,6 +111,20 @@ class Network {
   std::size_t port_base(graph::Vertex r) const { return port_base_[r]; }
 
  private:
+  // One (src, dst) entry: distance plus candidate ports, so a lookup is
+  // one 8-byte load. Lists of up to kInlinePorts ports (most pairs of a
+  // diameter-3 network) sit inline; longer ones in overflow_ports_, whose
+  // offset the two port slots then hold.
+  static constexpr std::uint16_t kInlinePorts = 2;
+  struct Route {
+    std::uint16_t dist;
+    std::uint16_t count;
+    std::uint16_t ports[kInlinePorts];
+    std::uint32_t overflow_offset() const {
+      return ports[0] | static_cast<std::uint32_t>(ports[1]) << 16;
+    }
+  };
+
   std::shared_ptr<const topo::Topology> topo_;
   std::shared_ptr<const routing::MinimalRouting> routing_;
   std::uint32_t n_ = 0;
@@ -118,9 +134,8 @@ class Network {
   std::vector<graph::Vertex> link_neighbor_;    // per directed link
   std::vector<std::uint32_t> peer_port_;        // per directed link
   std::vector<graph::Vertex> link_router_;      // per directed link
-  std::vector<std::uint16_t> dist_;             // n x n, 0xFFFF = unreachable
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> route_ranges_;
-  std::vector<std::uint16_t> route_ports_;
+  std::vector<Route> routes_;                   // n x n
+  std::vector<std::uint16_t> overflow_ports_;
 };
 
 }  // namespace polarstar::sim

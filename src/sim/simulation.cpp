@@ -19,6 +19,17 @@ using graph::Vertex;
 
 namespace {
 constexpr std::uint32_t kInjectionFlag = 0x80000000u;
+
+// Calls f(i) for each set bit i of words[0, n), ascending. Each word is
+// read once, so f may clear bits the walk has already passed.
+template <class F>
+void for_each_bit(const std::uint64_t* words, std::size_t n, F&& f) {
+  for (std::size_t w = 0; w < n; ++w) {
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      f(static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+    }
+  }
+}
 }  // namespace
 
 const char* to_string(PathMode mode, MinSelect sel) {
@@ -179,18 +190,24 @@ Simulation::Simulation(const Network& net, const SimParams& prm,
                    arr_depth_);
   credit_returns_.resize(static_cast<std::size_t>(num_shards_) * cred_depth_);
 
-  std::uint32_t max_out = 0, max_in = 0;
+  std::uint32_t max_out = 0, max_in = 0, max_deg = 0, max_conc = 0;
   for (Vertex r = 0; r < net.num_routers(); ++r) {
     const std::uint32_t deg = net.num_link_ports(r);
     max_out = std::max(max_out, deg + topo.conc[r]);
     max_in = std::max(max_in, deg * prm_.num_vcs + topo.conc[r]);
+    max_deg = std::max(max_deg, deg);
+    max_conc = std::max(max_conc, topo.conc[r]);
   }
+  const auto words = [](std::size_t bits) {
+    return std::max<std::size_t>(1, (bits + 63) / 64);
+  };
   req_stride_ = max_in;
   shard_scratch_.resize(num_shards_);
   for (ShardScratch& sc : shard_scratch_) {
     sc.req_store.resize(static_cast<std::size_t>(max_out) * req_stride_);
     sc.req_count.assign(max_out, 0);
-    sc.inport_used.assign(max_out, 0);
+    sc.out_req.assign(words(max_out), 0);
+    sc.inport_used.assign(words(max_out), 0);
     if (stall_telemetry_) {
       sc.out_want_credit.assign(max_out, 0);
       sc.out_want_vc.assign(max_out, 0);
@@ -218,7 +235,25 @@ Simulation::Simulation(const Network& net, const SimParams& prm,
     buf_router_[b] = net.link_router(buf_link_[b]);
   }
   port_mask_.assign(net.total_link_ports(), 0);
-  router_work_.assign(net.num_routers(), 0);
+  slot_bit0_ = max_deg;
+  input_words_ = words(max_deg + max_conc);
+  input_busy_.assign(net.num_routers() * input_words_, 0);
+  link_port_.resize(net.total_link_ports());
+  for (std::size_t link = 0; link < net.total_link_ports(); ++link) {
+    link_port_[link] = static_cast<std::uint16_t>(
+        link - net.port_base(net.link_router(link)));
+  }
+  router_bit_.assign(net.num_routers(), 0);
+  shard_word_.assign(num_shards_ + 1, 0);
+  for (std::uint32_t s = 0; s < num_shards_; ++s) {
+    const auto& routers = plan_.routers[s];
+    for (std::size_t i = 0; i < routers.size(); ++i) {
+      router_bit_[routers[i]] =
+          static_cast<std::uint32_t>(64 * shard_word_[s] + i);
+    }
+    shard_word_[s + 1] = shard_word_[s] + words(routers.size());
+  }
+  router_busy_.assign(shard_word_[num_shards_], 0);
 
   // Bind the cycle loop once: reference mode wins, then the telemetry /
   // fault gates pick the instantiation with dead hook sites compiled out.
@@ -248,8 +283,9 @@ void Simulation::buffer_push(std::size_t b, Flit f) {
   if (pos >= cap) pos -= cap;  // head, size < cap: one conditional subtract
   buf_store_[b * cap + pos] = f;
   if (buf_size_[b]++ == 0) {
-    port_mask_[buf_link_[b]] |= buf_vc_bit_[b];
-    ++router_work_[buf_router_[b]];
+    const std::uint32_t link = buf_link_[b];
+    if (port_mask_[link] == 0) input_up(buf_router_[b], link_port_[link]);
+    port_mask_[link] |= buf_vc_bit_[b];
   }
 }
 
@@ -258,9 +294,29 @@ void Simulation::buffer_pop(std::size_t b) {
   if (h == prm_.vc_buffer_flits) h = 0;
   buf_head_[b] = static_cast<std::uint16_t>(h);
   if (--buf_size_[b] == 0) {
-    port_mask_[buf_link_[b]] &= ~buf_vc_bit_[b];
-    --router_work_[buf_router_[b]];
+    const std::uint32_t link = buf_link_[b];
+    port_mask_[link] &= ~buf_vc_bit_[b];
+    if (port_mask_[link] == 0) input_down(buf_router_[b], link_port_[link]);
   }
+}
+
+void Simulation::input_up(Vertex r, std::uint32_t bit) {
+  std::uint64_t* words = &input_busy_[r * input_words_];
+  bool idle = true;
+  for (std::size_t w = 0; w < input_words_; ++w) idle = idle && words[w] == 0;
+  words[bit / 64] |= 1ull << (bit % 64);
+  if (idle) {
+    router_busy_[router_bit_[r] / 64] |= 1ull << (router_bit_[r] % 64);
+  }
+}
+
+void Simulation::input_down(Vertex r, std::uint32_t bit) {
+  std::uint64_t* words = &input_busy_[r * input_words_];
+  words[bit / 64] &= ~(1ull << (bit % 64));
+  for (std::size_t w = 0; w < input_words_; ++w) {
+    if (words[w] != 0) return;
+  }
+  router_busy_[router_bit_[r] / 64] &= ~(1ull << (router_bit_[r] % 64));
 }
 
 void Simulation::inj_push(std::uint64_t ep, std::uint32_t pkt_idx) {
@@ -275,7 +331,9 @@ void Simulation::inj_push(std::uint64_t ep, std::uint32_t pkt_idx) {
   inj_pool_[node] = {pkt_idx, kNilNode};
   if (inj_head_[ep] == kNilNode) {
     inj_head_[ep] = node;
-    ++router_work_[ep_router_[ep]];
+    const Vertex r = ep_router_[ep];
+    input_up(r, slot_bit0_ + static_cast<std::uint32_t>(
+                                 ep - net_->topology().first_endpoint(r)));
   } else {
     inj_pool_[inj_tail_[ep]].next = node;
   }
@@ -291,7 +349,9 @@ void Simulation::inj_pop_front(std::uint64_t ep,
   freed.push_back(node);  // spliced onto the free list at the barrier
   if (inj_head_[ep] == kNilNode) {
     inj_tail_[ep] = kNilNode;
-    --router_work_[ep_router_[ep]];
+    const Vertex r = ep_router_[ep];
+    input_down(r, slot_bit0_ + static_cast<std::uint32_t>(
+                                   ep - net_->topology().first_endpoint(r)));
   }
   --inj_count_[ep];
 }
@@ -392,12 +452,12 @@ double Simulation::occupancy(Vertex r, Vertex next) const {
 }
 
 double Simulation::occupancy_by_port(std::size_t link) const {
-  const std::size_t base = recv_buf_base_[link];
-  double occupied = 0;
-  for (std::uint32_t vc = 0; vc < prm_.num_vcs; ++vc) {
-    occupied += prm_.vc_buffer_flits - credits_[base + vc];
-  }
-  return occupied;
+  // Every term is a small integer, so an integer sum converted once equals
+  // occupancy()'s double accumulation exactly (and vectorizes).
+  const std::uint16_t* credits = &credits_[recv_buf_base_[link]];
+  std::uint32_t free_slots = 0;
+  for (std::uint32_t vc = 0; vc < prm_.num_vcs; ++vc) free_slots += credits[vc];
+  return static_cast<double>(prm_.num_vcs * prm_.vc_buffer_flits - free_slots);
 }
 
 double Simulation::path_cost_fast(Vertex src, Vertex toward,
@@ -776,16 +836,25 @@ void Simulation::purge_packets(std::vector<std::uint32_t>& victims) {
 
   // The purge edited buffers and queues wholesale: rebuild the occupancy
   // index (cold path, once per fault batch).
+  rebuild_work_index();
+}
+
+void Simulation::rebuild_work_index() {
   std::fill(port_mask_.begin(), port_mask_.end(), 0u);
-  std::fill(router_work_.begin(), router_work_.end(), 0u);
+  std::fill(input_busy_.begin(), input_busy_.end(), 0ull);
+  std::fill(router_busy_.begin(), router_busy_.end(), 0ull);
   for (std::size_t b = 0; b < buf_size_.size(); ++b) {
-    if (buf_size_[b] != 0) {
-      port_mask_[buf_link_[b]] |= buf_vc_bit_[b];
-      ++router_work_[buf_router_[b]];
-    }
+    if (buf_size_[b] == 0) continue;
+    const std::uint32_t link = buf_link_[b];
+    if (port_mask_[link] == 0) input_up(buf_router_[b], link_port_[link]);
+    port_mask_[link] |= buf_vc_bit_[b];
   }
+  const auto& topo = net_->topology();
   for (std::size_t ep = 0; ep < inj_head_.size(); ++ep) {
-    if (inj_head_[ep] != kNilNode) ++router_work_[ep_router_[ep]];
+    if (inj_head_[ep] == kNilNode) continue;
+    const Vertex r = ep_router_[ep];
+    input_up(r, slot_bit0_ +
+                    static_cast<std::uint32_t>(ep - topo.first_endpoint(r)));
   }
 }
 
@@ -922,22 +991,24 @@ void Simulation::route_shard(std::uint32_t shard) {
   auto& cred_out =
       credit_returns_[static_cast<std::size_t>(shard) * cred_depth_ +
                       cred_push];
-  for (Vertex r : plan_.routers[shard]) {
-    // No buffered flit and no queued packet anywhere at this router: the
-    // generic body would collect nothing, grant nothing, and report
-    // nothing -- skip it whole.
-    if (router_work_[r] == 0) continue;
+  // Visit only the routers with a busy input, in ascending order as the
+  // full scan did. A router's processing changes only its own busy bits.
+  const std::vector<Vertex>& routers = plan_.routers[shard];
+  const std::size_t w0 = shard_word_[shard];
+  for_each_bit(&router_busy_[w0], shard_word_[shard + 1] - w0,
+               [&](std::uint32_t pos) {
+    const Vertex r = routers[pos];
     if constexpr (kFaults) {
-      if (faults_active_ && router_down_[r] != 0) continue;  // dead router
+      if (faults_active_ && router_down_[r] != 0) return;  // dead router
     }
     const std::size_t pb = net_->port_base(r);
     const std::uint32_t deg = net_->num_link_ports(r);
     const std::uint32_t conc = topo.conc[r];
     const std::uint32_t nout = deg + conc;
 
-    // Collect feasible requests per output.
+    // Collect feasible requests per output. req_count is all zero between
+    // routers; out_req flags the outputs this router's requests touch.
     bool any = false;
-    for (std::uint32_t o = 0; o < nout; ++o) sc.req_count[o] = 0;
     if constexpr (kTel) {
       if (stall_telemetry_) {
         for (std::uint32_t o = 0; o < nout; ++o) {
@@ -966,14 +1037,36 @@ void Simulation::route_shard(std::uint32_t shard) {
           return;
         }
       }
-      sc.req_store[out * req_stride_ + sc.req_count[out]++] = {
+      std::uint32_t& k = sc.req_count[out];
+      if (k == 0) sc.out_req[out / 64] |= 1ull << (out % 64);
+      sc.req_store[out * req_stride_ + k++] = {
           input_key, pkt, static_cast<std::uint16_t>(inport), ovc};
       any = true;
     };
 
-    for (std::uint32_t port = 0; port < deg; ++port) {
-      // Occupancy mask: visit only non-empty VCs, lowest first (the same
-      // order the generic VC scan produces).
+    // Busy inputs only: link ports, each port's non-empty VCs lowest first,
+    // then endpoint slots -- the order of the generic port x VC scan.
+    const std::uint64_t ep0 = topo.first_endpoint(r);
+    for_each_bit(&input_busy_[r * input_words_], input_words_,
+                 [&](std::uint32_t in) {
+      if (in >= slot_bit0_) {
+        const std::uint32_t s = in - slot_bit0_;
+        const std::uint64_t ep = ep0 + s;
+        const std::uint32_t pkt = inj_pool_[inj_head_[ep]].pkt;
+        VcState& st = inj_state_[ep];
+        if (!st.active) {
+          if (!compute_route(pkt, r, st.out_port, st.out_vc, sc,
+                             /*staged=*/true)) {
+            sc.pending_kills.push_back(pkt);
+            return;
+          }
+          st.active = true;
+        }
+        consider(kInjectionFlag | static_cast<std::uint32_t>(ep), deg + s,
+                 pkt, st.out_port, st.out_vc, inj_sent_[ep]);
+        return;
+      }
+      const std::uint32_t port = in;
       std::uint32_t m = port_mask_[pb + port];
       while (m != 0) {
         const auto vc = static_cast<std::uint32_t>(std::countr_zero(m));
@@ -993,39 +1086,20 @@ void Simulation::route_shard(std::uint32_t shard) {
         consider(static_cast<std::uint32_t>(b), port, f.pkt, st.out_port,
                  st.out_vc, f.seq);
       }
-    }
-    const std::uint64_t ep0 = topo.first_endpoint(r);
-    for (std::uint32_t s = 0; s < conc; ++s) {
-      const std::uint64_t ep = ep0 + s;
-      const std::uint32_t head = inj_head_[ep];
-      if (head == kNilNode) continue;
-      const std::uint32_t pkt = inj_pool_[head].pkt;
-      VcState& st = inj_state_[ep];
-      if (!st.active) {
-        if (!compute_route(pkt, r, st.out_port, st.out_vc, sc,
-                           /*staged=*/true)) {
-          sc.pending_kills.push_back(pkt);
-          continue;
-        }
-        st.active = true;
-      }
-      consider(kInjectionFlag | static_cast<std::uint32_t>(ep), deg + s, pkt,
-               st.out_port, st.out_vc, inj_sent_[ep]);
-    }
+    });
     if (!any) {
       // Nothing reached arbitration; blocked inputs may still want ports.
       if constexpr (kTel) {
         if (stall_telemetry_) report_output_stalls(r, deg, sc, /*staged=*/true);
       }
-      continue;
+      return;
     }
 
-    // Grant: per output, round-robin over requesters; an input port moves
-    // at most one flit per cycle.
-    for (std::uint32_t o = 0; o < nout; ++o) sc.inport_used[o] = 0;
-    for (std::uint32_t o = 0; o < nout; ++o) {
+    // Grant: per requested output in ascending order, round-robin over its
+    // requesters; an input port moves at most one flit per cycle.
+    std::fill(sc.inport_used.begin(), sc.inport_used.end(), 0ull);
+    for_each_bit(sc.out_req.data(), sc.out_req.size(), [&](std::uint32_t o) {
       const std::uint32_t k = sc.req_count[o];
-      if (k == 0) continue;
       const Request* reqs = &sc.req_store[o * req_stride_];
       std::uint16_t& rr =
           o < deg ? out_rr_link_[pb + o] : out_rr_ej_[ep0 + (o - deg)];
@@ -1033,15 +1107,16 @@ void Simulation::route_shard(std::uint32_t shard) {
       std::uint32_t cand = rr % k;  // same probe sequence as (rr + i) % k
       for (std::uint32_t i = 0; i < k; ++i) {
         const std::uint32_t inport = reqs[cand].inport;
-        if (!sc.inport_used[inport]) {
+        const std::uint64_t in_bit = 1ull << (inport % 64);
+        if ((sc.inport_used[inport / 64] & in_bit) == 0) {
           winner = cand;
-          sc.inport_used[inport] = 1;
+          sc.inport_used[inport / 64] |= in_bit;
           rr = static_cast<std::uint16_t>((cand + 1) % k);
           break;
         }
         if (++cand == k) cand = 0;
       }
-      if (winner == k) continue;
+      if (winner == k) return;
       const Request& req = reqs[winner];
       const std::uint32_t pkt_idx = req.pkt;
       PacketRecord& pk = packets_[pkt_idx];
@@ -1109,11 +1184,14 @@ void Simulation::route_shard(std::uint32_t shard) {
         if (stall_telemetry_) sc.out_granted[o] = 1;
       }
       ++sc.moved;
-    }
+    });
     if constexpr (kTel) {
       if (stall_telemetry_) report_output_stalls(r, deg, sc, /*staged=*/true);
     }
-  }
+    for_each_bit(sc.out_req.data(), sc.out_req.size(),
+                 [&](std::uint32_t o) { sc.req_count[o] = 0; });
+    std::fill(sc.out_req.begin(), sc.out_req.end(), 0ull);
+  });
   if (profile_) {
     sc.task_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -1412,7 +1490,7 @@ void Simulation::step_reference() {
       continue;
     }
 
-    for (std::uint32_t o = 0; o < nout; ++o) sc.inport_used[o] = 0;
+    std::vector<std::uint8_t> inport_used(nout, 0);
     for (std::uint32_t o = 0; o < nout; ++o) {
       const std::uint32_t k = sc.req_count[o];
       if (k == 0) continue;
@@ -1430,9 +1508,9 @@ void Simulation::step_reference() {
                 ? deg + static_cast<std::uint32_t>((key & ~kInjectionFlag) - ep0)
                 : static_cast<std::uint32_t>(key / prm_.num_vcs -
                                              net_->port_base(r));
-        if (!sc.inport_used[inport]) {
+        if (!inport_used[inport]) {
           winner = cand;
-          sc.inport_used[inport] = 1;
+          inport_used[inport] = 1;
           rr = static_cast<std::uint16_t>((cand + 1) % k);
           break;
         }
@@ -1589,16 +1667,23 @@ void Simulation::check_invariants() const {
   }
 
   // Occupancy index consistency: every port mask bit mirrors its buffer's
-  // emptiness, injection FIFO counts match their lists, and router work
-  // equals non-empty buffers plus non-empty injection queues.
-  std::vector<std::uint32_t> work(router_work_.size(), 0);
+  // emptiness, injection FIFO counts match their lists, a router's input
+  // bits are exactly its non-empty ports and queues, and its busy bit is
+  // set exactly when one of them is.
+  std::vector<std::uint64_t> inputs(input_busy_.size(), 0);
+  const auto set = [](std::uint64_t* words, std::size_t i) {
+    words[i / 64] |= 1ull << (i % 64);
+  };
   for (std::size_t b = 0; b < nbuf; ++b) {
     const bool bit = (port_mask_[buf_link_[b]] & buf_vc_bit_[b]) != 0;
     if (bit != (buf_size_[b] != 0)) {
       throw std::logic_error("sim invariant: VC occupancy mask out of sync");
     }
-    if (buf_size_[b] != 0) ++work[buf_router_[b]];
+    if (buf_size_[b] != 0) {
+      set(&inputs[buf_router_[b] * input_words_], link_port_[buf_link_[b]]);
+    }
   }
+  const auto& topo = net_->topology();
   for (std::size_t ep = 0; ep < inj_head_.size(); ++ep) {
     std::uint32_t count = 0;
     for (std::uint32_t nd = inj_head_[ep]; nd != kNilNode;
@@ -1611,10 +1696,22 @@ void Simulation::check_invariants() const {
     if (count != inj_count_[ep]) {
       throw std::logic_error("sim invariant: injection FIFO count mismatch");
     }
-    if (count != 0) ++work[ep_router_[ep]];
+    if (count != 0) {
+      const Vertex r = ep_router_[ep];
+      set(&inputs[r * input_words_], slot_bit0_ + (ep - topo.first_endpoint(r)));
+    }
   }
-  if (work != router_work_) {
-    throw std::logic_error("sim invariant: router work counter out of sync");
+  if (inputs != input_busy_) {
+    throw std::logic_error("sim invariant: busy-input bits out of sync");
+  }
+  for (Vertex r = 0; r < net_->num_routers(); ++r) {
+    const auto first = inputs.begin() + r * input_words_;
+    const bool busy = std::any_of(first, first + input_words_,
+                                  [](std::uint64_t w) { return w != 0; });
+    const std::uint32_t i = router_bit_[r];
+    if (((router_busy_[i / 64] >> (i % 64)) & 1u) != busy) {
+      throw std::logic_error("sim invariant: busy-router bit out of sync");
+    }
   }
 }
 

@@ -361,10 +361,13 @@ class Simulation {
   // Per-shard working state: allocation scratch (was shared members before
   // the engine sharded) plus the staging buffers drained at the barrier.
   struct ShardScratch {
-    // Allocation scratch, reused router to router within the shard.
+    // Allocation scratch, reused router to router within the shard. Only
+    // the outputs flagged in out_req hold requests, so resetting a router
+    // costs its requested outputs, not its radix.
     std::vector<Request> req_store;
     std::vector<std::uint32_t> req_count;
-    std::vector<std::uint8_t> inport_used;
+    std::vector<std::uint64_t> out_req;      // bit per output with requests
+    std::vector<std::uint64_t> inport_used;  // bit per input port granted
     std::vector<std::uint8_t> out_want_credit, out_want_vc, out_granted;
     std::vector<graph::Vertex> fault_hops;
     std::vector<std::uint16_t> fault_ports;
@@ -577,13 +580,32 @@ class Simulation {
   std::vector<std::uint32_t> buf_link_;      // buffer -> directed link
   std::vector<std::uint32_t> buf_vc_bit_;    // buffer -> 1 << vc
   std::vector<graph::Vertex> buf_router_;    // buffer -> owning router
-  // Occupancy index: bit per non-empty VC buffer of each directed link
-  // (num_vcs <= 32 enforced at construction), plus a per-router count of
-  // non-empty link-VC buffers and non-empty injection queues. A router
-  // with zero work is skipped whole by the optimized step loop (provably
-  // emits nothing, moves nothing, reports nothing).
+  // Occupancy index, which makes the optimized allocator's cost follow the
+  // work instead of the radix. port_mask_ has a bit per non-empty VC
+  // buffer of each directed link (num_vcs <= 32 enforced at construction).
+  // Each router owns input_words_ whole words of input_busy_: bit p for a
+  // link port with port_mask_ != 0, bit slot_bit0_ + s for an endpoint slot
+  // with a queued packet. router_busy_ has a bit per router with any input
+  // busy, shard s's routers in the words [shard_word_[s],
+  // shard_word_[s+1]) in plan_.routers[s] order. Walking a bitset visits
+  // set bits ascending, the order of the full scans it replaces; a router
+  // with no busy input is skipped whole (it would collect, grant and
+  // report nothing). No word spans two routers or two shards, so the
+  // parallel phases update them without synchronisation.
   std::vector<std::uint32_t> port_mask_;
-  std::vector<std::uint32_t> router_work_;
+  std::size_t input_words_ = 0;
+  std::uint32_t slot_bit0_ = 0;  // first endpoint-slot bit (max degree)
+  std::vector<std::uint64_t> input_busy_;
+  std::vector<std::uint64_t> router_busy_;
+  std::vector<std::size_t> shard_word_;    // size num_shards_ + 1
+  std::vector<std::uint32_t> router_bit_;  // router -> bit in router_busy_
+  std::vector<std::uint16_t> link_port_;   // directed link -> port at router
+  // Flag / unflag input `bit` of router r, keeping router_busy_ in step.
+  void input_up(graph::Vertex r, std::uint32_t bit);
+  void input_down(graph::Vertex r, std::uint32_t bit);
+  // Recomputes port_mask_ and the busy bitsets from the buffers and
+  // injection queues (after a fault purge).
+  void rebuild_work_index();
 
   using StepFn = void (Simulation::*)();
   StepFn step_fn_ = nullptr;

@@ -58,29 +58,31 @@ PatternSource::PatternSource(const topo::Topology& topo, Pattern pattern,
                              std::uint32_t packet_flits, std::uint64_t seed)
     : topo_(&topo),
       pattern_(pattern),
-      packet_probability_(injection_rate / packet_flits),
-      rng_(seed) {
+      arrivals_(topo.num_endpoints(), injection_rate / packet_flits, seed) {
   const std::uint64_t eps = topo.num_endpoints();
   if (eps == 0) throw std::invalid_argument("pattern: no endpoints");
   while ((2ull << domain_bits_) <= eps) ++domain_bits_;
   ++domain_bits_;  // now 2^domain_bits_ <= eps < 2^(domain_bits_+1)
   if ((1ull << domain_bits_) > eps) --domain_bits_;
 
+  EventDraws setup = arrivals_.setup_draws();
   if (pattern == Pattern::kHotspot) {
     // A handful of fixed hot endpoints spread across the machine.
     const std::uint32_t hots = std::max<std::uint32_t>(1, eps / 256);
     for (std::uint32_t h = 0; h < hots && h < 8; ++h) {
-      hot_endpoints_.push_back(rng_() % eps);
+      hot_endpoints_.push_back(setup() % eps);
     }
   }
   if (pattern == Pattern::kPermutation) {
-    // Permute endpoint-carrying routers among themselves.
+    // Permute endpoint-carrying routers among themselves (Fisher-Yates).
     std::vector<Vertex> carriers;
     for (Vertex r = 0; r < topo.num_routers(); ++r) {
       if (topo.conc[r] > 0) carriers.push_back(r);
     }
     std::vector<Vertex> image = carriers;
-    std::shuffle(image.begin(), image.end(), rng_);
+    for (std::size_t i = image.size(); i > 1; --i) {
+      std::swap(image[i - 1], image[setup() % i]);
+    }
     router_perm_.assign(topo.num_routers(), 0);
     for (std::size_t i = 0; i < carriers.size(); ++i) {
       router_perm_[carriers[i]] = image[i];
@@ -170,11 +172,18 @@ void PatternSource::prepare_tornado() {
 }
 
 std::uint64_t PatternSource::destination(std::uint64_t src, Simulation& sim) {
+  EventDraws draws = arrivals_.next_draws(src);
+  return destination(src, sim, draws);
+}
+
+std::uint64_t PatternSource::destination(std::uint64_t src, Simulation& sim,
+                                         EventDraws& draws) {
   const auto& topo = *topo_;
   const std::uint64_t eps = topo.num_endpoints();
   switch (pattern_) {
     case Pattern::kUniform: {
-      std::uint64_t dst = rng_() % (eps - 1);
+      if (eps < 2) return kNoTraffic;
+      std::uint64_t dst = draws() % (eps - 1);
       if (dst >= src) ++dst;
       return dst;
     }
@@ -227,12 +236,13 @@ std::uint64_t PatternSource::destination(std::uint64_t src, Simulation& sim) {
       return topo.first_endpoint(tr) + slot % topo.conc[tr];
     }
     case Pattern::kHotspot: {
-      if (!hot_endpoints_.empty() && rng_() % 10 == 0) {
+      if (eps < 2) return kNoTraffic;
+      if (!hot_endpoints_.empty() && draws() % 10 == 0) {
         const std::uint64_t dst =
-            hot_endpoints_[rng_() % hot_endpoints_.size()];
+            hot_endpoints_[draws() % hot_endpoints_.size()];
         if (dst != src) return dst;
       }
-      std::uint64_t dst = rng_() % (eps - 1);
+      std::uint64_t dst = draws() % (eps - 1);
       if (dst >= src) ++dst;
       return dst;
     }
@@ -241,14 +251,21 @@ std::uint64_t PatternSource::destination(std::uint64_t src, Simulation& sim) {
 }
 
 void PatternSource::tick(Simulation& sim) {
-  const std::uint64_t eps = topo_->num_endpoints();
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-  for (std::uint64_t e = 0; e < eps; ++e) {
-    if (coin(rng_) >= packet_probability_) continue;
-    const std::uint64_t dst = destination(e, sim);
-    if (dst == kNoTraffic) continue;
-    sim.enqueue_packet(e, dst);
+  if (!started_) {
+    // Endpoints a fixed pattern never sends from get no clock at all.
+    const bool fixed =
+        pattern_ != Pattern::kUniform && pattern_ != Pattern::kHotspot;
+    arrivals_.start(sim.cycle(), [&](std::uint64_t e) {
+      if (!fixed) return topo_->num_endpoints() > 1;
+      EventDraws unused = arrivals_.setup_draws();
+      return destination(e, sim, unused) != kNoTraffic;
+    });
+    started_ = true;
   }
+  arrivals_.fire(sim.cycle(), [&](std::uint64_t e, EventDraws& draws) {
+    const std::uint64_t dst = destination(e, sim, draws);
+    if (dst != kNoTraffic) sim.enqueue_packet(e, dst);
+  });
 }
 
 }  // namespace polarstar::sim

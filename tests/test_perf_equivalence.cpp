@@ -1,8 +1,8 @@
 // Differential tests for the simulator hot-loop optimizations (`ctest -L
 // perf`): the flattened routing/distance tables, the pooled injection
-// queues, the VC occupancy masks + router work counters, and the UGAL /
-// fault-filter fast paths must be *bit-identical* to the generic reference
-// implementations. SimParams::reference_impl selects the preserved
+// queues, the VC occupancy masks + busy-input/busy-router bitsets, and the
+// UGAL / fault-filter fast paths must be *bit-identical* to the generic
+// reference implementations. SimParams::reference_impl selects the preserved
 // pre-optimization code paths (routing::UgalSelector, virtual
 // FaultAwareRouting::next_hops, the full-scan step loop); every test here
 // runs the same workload both ways and diffs the entire SimResult, the
@@ -149,6 +149,7 @@ TEST(PerfEquivalence, FlatNetworkTablesMatchVirtualRouting) {
     const auto& routing = net->routing();
     const std::uint32_t n = net->num_routers();
     std::vector<g::Vertex> hops;
+    std::size_t overflow_lists = 0;  // longer than the inline two ports
     for (g::Vertex s = 0; s < n; ++s) {
       for (g::Vertex d = 0; d < n; ++d) {
         ASSERT_EQ(net->distance(s, d), routing.distance(s, d));
@@ -156,12 +157,14 @@ TEST(PerfEquivalence, FlatNetworkTablesMatchVirtualRouting) {
         routing.next_hops(s, d, hops);
         const auto ports = net->route_ports(s, d);
         ASSERT_EQ(ports.size(), hops.size());
+        overflow_lists += ports.size() > 2;
         for (std::size_t i = 0; i < hops.size(); ++i) {
           ASSERT_EQ(ports[i], net->port_toward(s, hops[i]));
           ASSERT_EQ(net->link_neighbor(net->port_base(s) + ports[i]), hops[i]);
         }
       }
     }
+    EXPECT_GT(overflow_lists, 0u);
   }
 }
 
@@ -197,6 +200,33 @@ TEST(PerfEquivalence, MinimalAdaptive) {
   const auto fast = run_pattern(*net, prm, false, 0.3);
   expect_identical(ref, fast);
   EXPECT_GT(fast.packets_delivered, 0u);
+}
+
+// Routers wider than one 64-bit word: the allocator's busy-input and
+// output-request bitsets span several words per router (K_70 gives 69
+// link ports; router 0 also carries 70 endpoints). Paranoid checks verify
+// the bitsets against the buffers every cycle; two shards split the
+// busy-router bitset.
+TEST(PerfEquivalence, WideRoutersSpanSeveralWorkWords) {
+  auto t = std::make_shared<topo::Topology>();
+  std::vector<g::Edge> edges;
+  for (g::Vertex u = 0; u < 70; ++u) {
+    for (g::Vertex v = u + 1; v < 70; ++v) edges.push_back({u, v});
+  }
+  t->g = g::Graph::from_edges(70, edges);
+  t->conc.assign(70, 1);
+  t->conc[0] = 70;
+  t->finalize();
+  const sim::Network net(t, routing::make_table_routing(t->g));
+  auto prm = base_params();
+  prm.measure_cycles = 300;
+  prm.min_select = sim::MinSelect::kAdaptive;
+  const auto ref = run_pattern(net, prm, true, 0.4);
+  const auto fast = run_pattern(net, prm, false, 0.4);
+  expect_identical(ref, fast);
+  EXPECT_GT(fast.packets_delivered, 0u);
+  prm.num_shards = 2;
+  expect_identical(ref, run_pattern(net, prm, false, 0.4));
 }
 
 // UGAL consumes RNG draws and compares double-valued path costs; the fast

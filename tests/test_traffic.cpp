@@ -2,11 +2,14 @@
 // injection-rate accounting, and the adversarial group pairing.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <memory>
 #include <set>
 
 #include "core/polarstar.h"
 #include "routing/routing.h"
+#include "sim/arrivals.h"
 #include "sim/simulation.h"
 #include "sim/traffic.h"
 #include "topo/dragonfly.h"
@@ -198,6 +201,118 @@ TEST(Traffic, HotspotConcentratesSomeTraffic) {
   int hottest = 0;
   for (auto [ep, c] : histogram) hottest = std::max(hottest, c);
   EXPECT_GT(hottest, 3 * 8000 / static_cast<int>(t.num_endpoints()));
+}
+
+// Known-answer vectors of the reference Philox4x32-10 implementation
+// (Random123's kat_vectors).
+TEST(Traffic, PhiloxKnownAnswers) {
+  using A4 = std::array<std::uint32_t, 4>;
+  EXPECT_EQ(sim::philox4x32({0, 0, 0, 0}, {0, 0}),
+            (A4{0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8}));
+  EXPECT_EQ(sim::philox4x32({0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff},
+                            {0xffffffff, 0xffffffff}),
+            (A4{0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd}));
+  EXPECT_EQ(sim::philox4x32({0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344},
+                            {0xa4093822, 0x299f31d0}),
+            (A4{0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1}));
+}
+
+// Draw i of (stream, event) is a pure function of the key and the three
+// indices: regenerating it in any order gives the same words.
+TEST(Traffic, EventDrawsAreCounterBased) {
+  const std::array<std::uint32_t, 2> key{7, 9};
+  std::vector<std::uint64_t> first;
+  sim::EventDraws a(key, 3, 11);
+  for (int i = 0; i < 5; ++i) first.push_back(a());
+  sim::EventDraws other(key, 4, 11);  // interleaved work on another stream
+  other();
+  sim::EventDraws b(key, 3, 11);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(b(), first[i]);
+  EXPECT_NE(sim::EventDraws(key, 3, 12)(), first[0]);
+}
+
+// One endpoint's arrival gaps are Geometric(p) on {1, 2, ...}: the tail
+// P(gap > k) = (1-p)^k, the memoryless law of a per-cycle Bernoulli coin.
+TEST(Traffic, SkipAheadGapsAreGeometric) {
+  const double p = 0.2;
+  sim::BernoulliArrivals clock(1, p, 5);
+  clock.start(0, [](std::uint64_t) { return true; });
+  std::vector<std::uint64_t> arrivals;
+  const std::uint64_t cycles = 200000;
+  for (std::uint64_t c = 0; c < cycles; ++c) {
+    clock.fire(c, [&](std::uint64_t e, sim::EventDraws&) {
+      EXPECT_EQ(e, 0u);
+      arrivals.push_back(c);
+    });
+  }
+  const double n = static_cast<double>(arrivals.size());
+  EXPECT_NEAR(n / cycles, p, 4 * std::sqrt(p * (1 - p) / cycles));
+  std::vector<std::uint64_t> tail(6, 0);  // tail[k] = #gaps > k
+  for (std::size_t i = 1; i < arrivals.size(); ++i) {
+    const std::uint64_t gap = arrivals[i] - arrivals[i - 1];
+    ASSERT_GE(gap, 1u);
+    for (std::uint64_t k = 0; k < tail.size(); ++k) tail[k] += gap > k;
+  }
+  for (std::uint64_t k = 1; k < tail.size(); ++k) {
+    const double expect = std::pow(1 - p, static_cast<double>(k));
+    const double got = static_cast<double>(tail[k]) / (n - 1);
+    EXPECT_NEAR(got, expect, 4 * std::sqrt(expect * (1 - expect) / n))
+        << "k=" << k;
+  }
+}
+
+// Probability 1 fires every cycle; probability 0 (or an endpoint start()
+// rejects) never fires.
+TEST(Traffic, SkipAheadEdgeProbabilities) {
+  for (const double p : {0.0, 1.0, 2.5}) {
+    sim::BernoulliArrivals clock(3, p, 1);
+    clock.start(10, [](std::uint64_t e) { return e != 1; });
+    std::uint64_t fired = 0;
+    for (std::uint64_t c = 10; c < 110; ++c) {
+      clock.fire(c, [&](std::uint64_t e, sim::EventDraws&) {
+        EXPECT_NE(e, 1u);
+        ++fired;
+      });
+    }
+    EXPECT_EQ(fired, p > 0 ? 200u : 0u) << "p=" << p;
+  }
+}
+
+namespace {
+// Counts the packets a source enqueues (the simulator delivers nothing
+// while a source ticks, so the outstanding-count delta is the injections).
+struct CountingSource final : sim::TrafficSource {
+  explicit CountingSource(sim::TrafficSource& inner) : inner(&inner) {}
+  void tick(sim::Simulation& s) override {
+    const std::uint64_t before = s.outstanding_packets();
+    inner->tick(s);
+    injected += s.outstanding_packets() - before;
+  }
+  sim::TrafficSource* inner;
+  std::uint64_t injected = 0;
+};
+}  // namespace
+
+// The offered packet rate is the Bernoulli target within sampling error,
+// at a low load where an endpoint injects about once in 80 cycles.
+TEST(Traffic, SkipAheadOfferedLoadMatchesTarget) {
+  auto t = std::make_shared<topo::Topology>(topo::dragonfly::build({4, 2, 2}));
+  sim::Network net(t, routing::make_table_routing(t->g));
+  sim::SimParams prm;
+  prm.warmup_cycles = 0;
+  prm.measure_cycles = 20000;
+  prm.drain_cycles = 2000;
+  const double rate = 0.05;
+  auto src = sim::make_pattern_source(*t, sim::Pattern::kUniform, rate,
+                                      prm.packet_flits, 3);
+  CountingSource counting(*src);
+  sim::Simulation s(net, prm, counting);
+  const auto res = s.run();
+  const double trials =
+      static_cast<double>(t->num_endpoints()) * static_cast<double>(res.cycles);
+  const double p = rate / prm.packet_flits;
+  EXPECT_NEAR(static_cast<double>(counting.injected) / trials, p,
+              4 * std::sqrt(p * (1 - p) / trials));
 }
 
 TEST(Traffic, InjectionRateMatchesBernoulli) {
