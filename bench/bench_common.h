@@ -43,12 +43,10 @@ inline bool full_scale() {
 /// same variable already makes the shared runner attach a
 /// TimeSeriesCollector to every point, so a bench that wants a
 /// time-resolved table can print it straight from the sweep results it
-/// already has -- no extra simulation.
+/// already has -- no extra simulation. Parsed by the runner's own reader,
+/// so the bench and the runner always agree on the value.
 inline std::uint32_t metrics_interval() {
-  const char* v = std::getenv("POLARSTAR_METRICS_INTERVAL");
-  return v == nullptr
-             ? 0u
-             : static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+  return runlab::configured_metrics_interval();
 }
 
 /// One point's time series as an aligned table. Only the optional

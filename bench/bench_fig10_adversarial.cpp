@@ -32,7 +32,7 @@ int main() {
   // Telemetry at a post-saturation adversarial load: what is each
   // network's bottleneck made of? Runs on the shared runner with a full
   // collector per point, so with POLARSTAR_JSON these land in the file as
-  // schema-3 records carrying a "telemetry" block. The flight recorder
+  // records carrying a "telemetry" block. The flight recorder
   // samples 1-in-16 packets, feeding the slowest-packets table below (and
   // POLARSTAR_TRACE, when set).
   using polarstar::sim::PathMode;

@@ -36,7 +36,6 @@ struct Workload {
   double load = 0.3;
   sim::SimParams params;
   std::shared_ptr<const fault::FaultSchedule> faults;
-  std::uint32_t num_shards = 1;  // worker shards inside the one Simulation
 };
 
 struct Measurement {
@@ -50,7 +49,6 @@ Measurement measure(const Workload& w, unsigned reps) {
   Measurement m;
   for (unsigned rep = 0; rep < reps; ++rep) {
     sim::SimParams prm = w.params;
-    prm.num_shards = w.num_shards;
     if (w.faults) prm.faults = w.faults.get();
     auto src = sim::make_pattern_source(w.net->topology(), w.pattern, w.load,
                                         prm.packet_flits, prm.seed);
@@ -131,21 +129,6 @@ int main() {
       sim::PathMode::kMinimal, 0.30);
   add("ps-iq-uniform-ugal", ps_iq, sim::Pattern::kUniform, sim::PathMode::kUgal,
       0.30);
-  // Sharded twins of the UGAL workload: same simulation executed across 2
-  // and 4 barrier-synchronous worker shards. Their deterministic counters
-  // must equal the serial row bit for bit (verified below); the wall-clock
-  // columns measure the sharded engine's scaling. On a single-core host the
-  // shard rows run *slower* than serial (threads time-slice one core and
-  // pay the barriers); the >= 2x-at-4-shards expectation only materializes
-  // with >= 4 hardware cores, which is what tools/check_perf's
-  // core-count-aware speedup gate encodes.
-  const std::size_t ugal_base = workloads.size() - 1;
-  for (std::uint32_t shards : {2u, 4u}) {
-    Workload w = workloads[ugal_base];
-    w.name = "ps-iq-uniform-ugal-s" + std::to_string(shards);
-    w.num_shards = shards;
-    workloads.push_back(std::move(w));
-  }
   add("ps-iq-adversarial-min", ps_iq, sim::Pattern::kAdversarial,
       sim::PathMode::kMinimal, 0.20);
   add("ps-pal-uniform-min", ps_pal, sim::Pattern::kUniform,
@@ -189,26 +172,6 @@ int main() {
     std::fflush(stdout);
   }
 
-  // Hard gate: a sharded twin must reproduce its serial row's counters
-  // exactly -- sharding is a parallelism knob, never a semantics knob.
-  for (std::size_t i = 0; i < workloads.size(); ++i) {
-    if (workloads[i].num_shards == 1) continue;
-    const std::string base =
-        workloads[i].name.substr(0, workloads[i].name.rfind("-s"));
-    for (std::size_t j = 0; j < workloads.size(); ++j) {
-      if (workloads[j].name != base) continue;
-      if (results[i].cycles != results[j].cycles ||
-          results[i].delivered != results[j].delivered ||
-          results[i].flit_hops != results[j].flit_hops) {
-        std::fprintf(stderr,
-                     "bench_perf_simcore: sharded workload '%s' diverged "
-                     "from '%s'\n",
-                     workloads[i].name.c_str(), base.c_str());
-        return 1;
-      }
-    }
-  }
-
   const std::string path = json_path();
   if (!path.empty()) {
     std::FILE* f = std::fopen(path.c_str(), "w");
@@ -223,11 +186,10 @@ int main() {
       const auto& m = results[i];
       std::fprintf(
           f,
-          "  {\"name\": \"%s\", \"shards\": %u, \"cycles\": %llu, "
-          "\"delivered\": %llu, "
+          "  {\"name\": \"%s\", \"cycles\": %llu, \"delivered\": %llu, "
           "\"flit_hops\": %llu, \"wall_seconds\": %.6f, "
           "\"mcyc_per_s\": %.3f, \"mflit_hops_per_s\": %.3f}%s\n",
-          workloads[i].name.c_str(), workloads[i].num_shards,
+          workloads[i].name.c_str(),
           static_cast<unsigned long long>(m.cycles),
           static_cast<unsigned long long>(m.delivered),
           static_cast<unsigned long long>(m.flit_hops), m.best_seconds,

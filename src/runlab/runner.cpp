@@ -1,6 +1,5 @@
 #include "runlab/runner.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
@@ -98,13 +97,9 @@ class ProgressMeter {
 // flight-recorder filter (the runner may have applied its default).
 void run_chain(const SweepCase& c, const telemetry::PacketFilter& trace,
                std::uint32_t metrics_interval, bool profile,
-               unsigned num_shards, ProgressMeter& meter, CaseResult& out) {
+               ProgressMeter& meter, CaseResult& out) {
   const auto chain_start = std::chrono::steady_clock::now();
-  // The runner owns shard resolution: every point gets the budgeted shard
-  // count (the case's explicit request, clamped), so a Simulation under
-  // the runner never reads POLARSTAR_SHARDS on its own unclamped.
   sim::SimParams params = c.params;
-  params.num_shards = num_shards;
   params.profile = params.profile || profile;
   out.points.resize(c.loads.size());
   bool saturated = false;
@@ -143,7 +138,7 @@ void json_escape(std::ostream& os, const std::string& s) {
   }
 }
 
-// One JSON "telemetry" object from a run's summary block (schema 2); the
+// One JSON "telemetry" object from a run's summary block; the
 // caller has already decided the block is non-empty.
 void write_telemetry(std::ostream& os, const telemetry::Summary& t) {
   os << "\"telemetry\": {";
@@ -296,27 +291,18 @@ sim::SimResult run_point(const sim::Network& net, sim::Pattern pattern,
                     .trace = {}});
 }
 
-ExperimentRunner::WorkerBudget ExperimentRunner::plan_budget(
-    unsigned num_threads) {
-  WorkerBudget b;
-  b.total = num_threads != 0 ? num_threads : configured_threads();
-  if (b.total == 0) b.total = 1;
-  b.shards = std::min(sim::resolve_num_shards(0), b.total);
-  if (b.shards == 0) b.shards = 1;
-  b.chains = std::max(1u, b.total / b.shards);
-  return b;
+std::uint32_t configured_metrics_interval() {
+  return static_cast<std::uint32_t>(
+      env_count("POLARSTAR_METRICS_INTERVAL", 0xFFFFFFFFul));
 }
 
-ExperimentRunner::ExperimentRunner(unsigned num_threads)
-    : budget_(plan_budget(num_threads)), pool_(budget_.chains) {
+ExperimentRunner::ExperimentRunner(unsigned num_threads) : pool_(num_threads) {
   if (const char* v = std::getenv("POLARSTAR_JSON")) json_path_ = v;
   if (const char* v = std::getenv("POLARSTAR_TRACE")) trace_path_ = v;
   if (const char* v = std::getenv("POLARSTAR_PROGRESS")) {
     if (v[0] == '1' && v[1] == '\0') progress_ = &std::cerr;
   }
-  if (const char* v = std::getenv("POLARSTAR_METRICS_INTERVAL")) {
-    metrics_interval_ = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-  }
+  metrics_interval_ = configured_metrics_interval();
   if (const char* v = std::getenv("POLARSTAR_PROFILE")) {
     if (v[0] == '1' && v[1] == '\0') {
       profile_ = true;
@@ -364,18 +350,11 @@ std::vector<CaseResult> ExperimentRunner::run(
   std::vector<CaseResult> results(cases.size());
   std::vector<std::exception_ptr> errors(cases.size());
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    // A case's explicit shard request wins but stays inside the budget;
-    // unset (0) means the runner's POLARSTAR_SHARDS-derived default.
-    const unsigned shards =
-        cases[i].params.num_shards != 0
-            ? std::min(cases[i].params.num_shards, budget_.total)
-            : budget_.shards;
     const bool profile = profile_;
-    pool_.submit([&cases, &trace, &metrics, &meter, &results, &errors, shards,
+    pool_.submit([&cases, &trace, &metrics, &meter, &results, &errors,
                   profile, i] {
       try {
-        run_chain(cases[i], trace[i], metrics[i], profile, shards, meter,
-                  results[i]);
+        run_chain(cases[i], trace[i], metrics[i], profile, meter, results[i]);
       } catch (...) {
         errors[i] = std::current_exception();
       }
@@ -400,14 +379,7 @@ std::vector<CaseResult> ExperimentRunner::run(
         profile_agg_.route += pr.route_seconds;
         profile_agg_.barrier += pr.barrier_seconds;
         profile_agg_.telemetry += pr.telemetry_seconds;
-        profile_agg_.driver_wait += pr.driver_wait_seconds;
         profile_agg_.point_wall += p.wall_seconds;
-        if (profile_agg_.shard_task.size() < pr.shard_task_seconds.size()) {
-          profile_agg_.shard_task.resize(pr.shard_task_seconds.size(), 0.0);
-        }
-        for (std::size_t s = 0; s < pr.shard_task_seconds.size(); ++s) {
-          profile_agg_.shard_task[s] += pr.shard_task_seconds[s];
-        }
       }
     }
     report_profile(label);
@@ -527,26 +499,15 @@ void ExperimentRunner::report_profile(const std::string& label) const {
     out << "\n";
   };
   phase("fault/retransmit", a.fault);
-  phase("mailbox delivery", a.deliver);
+  phase("link delivery", a.deliver);
   phase("injection", a.inject);
   phase("switch allocation", a.route);
-  phase("barrier/merge", a.barrier);
+  phase("end-of-cycle", a.barrier);
   phase("telemetry", a.telemetry);
-  out << "[profile]   driver barrier-wait: " << std::fixed
-      << std::setprecision(3) << a.driver_wait << "s\n";
-  if (!a.shard_task.empty()) {
-    out << "[profile]   shard task seconds:";
-    for (double s : a.shard_task) {
-      out << " " << std::fixed << std::setprecision(3) << s;
-    }
-    out << "\n";
-  }
-  const double denom =
-      a.run_wall * static_cast<double>(budget_.chains);
+  const double denom = a.run_wall * static_cast<double>(pool_.size());
   out << "[profile]   walls: point " << std::fixed << std::setprecision(3)
       << a.point_wall << "s, chain " << a.chain_wall << "s, run "
-      << a.run_wall << "s; workers " << budget_.total << " ("
-      << budget_.chains << " chains x " << budget_.shards << " shards)";
+      << a.run_wall << "s; workers " << pool_.size();
   if (denom > 0.0) {
     out << ", utilization " << std::setprecision(1)
         << 100.0 * a.chain_wall / denom << "%";
@@ -559,21 +520,12 @@ void ExperimentRunner::flush_json() {
   if (json_path_.empty()) return;
   std::ofstream os(json_path_, std::ios::trunc);
   if (!os) return;  // unwritable path: drop telemetry, never fail the run
-  // Schema 7: top-level object {"schema": 7, "points": [...], optional
-  // "profile": {...}}. Over schema 6 a closed-loop collective point
-  // carries the "collective" object (op / algorithm / ranks / trees /
-  // chunks / packet+delivery counts / reduce_done_cycle /
-  // completion_cycle, verbatim from SourceReport). Schema 6 added the
-  // "timeseries" telemetry block (interval records from the
-  // TimeSeriesCollector) and the top-level "profile" engine-attribution
-  // block. Schema 5 added the per-point "workload" object ({"name",
-  // optional "detail"}; the "pattern" field holds the workload name);
-  // schema 4 added the per-point "fault" object (events / dropped /
-  // retransmits / lost / measured_lost / delivered_fraction) and the
-  // "fault" telemetry counter block; schema 3 added p50/p99.9 latency
-  // percentiles plus the "latency" and "trace" telemetry blocks; schema 1
-  // was the bare points array without telemetry. See EXPERIMENTS.md.
-  os << "{\n\"schema\": 7,\n\"points\": [\n";
+  // Schema 8 (EXPERIMENTS.md "POLARSTAR_JSON schema" lists every field):
+  // {"schema": 8, "points": [...], optional "profile": {...}}. Each point
+  // carries its identity and SimResult columns plus optional "workload",
+  // "collective", "fault" and "telemetry" blocks; "profile" appears when
+  // the runner profiled.
+  os << "{\n\"schema\": 8,\n\"points\": [\n";
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const auto& r = records_[i];
     const auto& res = r.result;
@@ -633,20 +585,14 @@ void ExperimentRunner::flush_json() {
        << a.fault << ", \"deliver\": " << a.deliver
        << ", \"inject\": " << a.inject << ", \"route\": " << a.route
        << ", \"barrier\": " << a.barrier << ", \"telemetry\": " << a.telemetry
-       << "},\n  \"driver_wait_seconds\": " << a.driver_wait
-       << ", \"shard_task_seconds\": [";
-    for (std::size_t s = 0; s < a.shard_task.size(); ++s) {
-      os << (s == 0 ? "" : ", ") << a.shard_task[s];
-    }
-    os << "],\n  \"point_wall_seconds\": " << a.point_wall
+       << "},\n  \"point_wall_seconds\": " << a.point_wall
        << ", \"chain_wall_seconds\": " << a.chain_wall
        << ", \"run_wall_seconds\": " << a.run_wall
-       << ",\n  \"workers\": " << budget_.total
-       << ", \"chains\": " << budget_.chains
-       << ", \"shards\": " << budget_.shards << ", \"worker_utilization\": "
+       << ",\n  \"workers\": " << pool_.size()
+       << ", \"chains\": " << pool_.size() << ", \"worker_utilization\": "
        << (a.run_wall > 0.0
                ? a.chain_wall /
-                     (a.run_wall * static_cast<double>(budget_.chains))
+                     (a.run_wall * static_cast<double>(pool_.size()))
                : 0.0)
        << "}";
   }

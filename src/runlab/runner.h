@@ -52,7 +52,7 @@ struct SweepCase {
   /// `pattern` (each point instantiates a fresh source at that point's
   /// load/seed). Shared-ownership like the network; the immutable workload
   /// serves many concurrent chains. JSON points of a workload case carry
-  /// the schema-5 "workload" block, and the workload's timeline marks land
+  /// the "workload" block, and the workload's timeline marks land
   /// in the exported Perfetto trace.
   std::shared_ptr<const workload::Workload> workload;
   /// Load-independent knobs (seed, VC count, path mode, windows...).
@@ -78,9 +78,9 @@ struct SweepCase {
   telemetry::PacketFilter trace;
   /// Time-series metrics interval (cycles) for every point of this case:
   /// a telemetry::TimeSeriesCollector rides along and its interval records
-  /// land in SimResult::telemetry ("timeseries" JSON block, schema 6+,
-  /// Perfetto counter tracks). 0 = the runner's POLARSTAR_METRICS_INTERVAL
-  /// default (itself 0 = off).
+  /// land in SimResult::telemetry ("timeseries" JSON block, Perfetto
+  /// counter tracks). 0 = the runner's POLARSTAR_METRICS_INTERVAL default
+  /// (itself 0 = off).
   std::uint32_t metrics_interval = 0;
   /// Live fault schedule applied to every point of this case (availability
   /// sweeps). Shared-ownership like the network: the immutable schedule is
@@ -138,26 +138,19 @@ sim::SimResult run_point(const sim::Network& net, sim::Pattern pattern,
                          double load, const sim::SimParams& params,
                          std::uint64_t pattern_seed = kSameSeed);
 
+/// Time-series interval from POLARSTAR_METRICS_INTERVAL: its value when it
+/// is a positive decimal integer that fits in 32 bits, otherwise 0 (off).
+std::uint32_t configured_metrics_interval();
+
 class ExperimentRunner {
  public:
   /// Sampling period applied to cases without an explicit trace filter
   /// when a trace path is configured (1 in 64 packets by id).
   static constexpr std::uint32_t kDefaultTracePeriod = 64;
 
-  /// How one runner splits its thread budget between concurrent load
-  /// chains and shards within each chain's Simulation. The budget is
-  /// shared: chains x shards never exceeds `total`, so
-  /// POLARSTAR_THREADS=16 with POLARSTAR_SHARDS=4 runs 4 chains of
-  /// 4-shard simulations instead of oversubscribing 16x4 threads.
-  struct WorkerBudget {
-    unsigned total = 1;   ///< thread budget (ctor arg or POLARSTAR_THREADS)
-    unsigned shards = 1;  ///< shards per point (POLARSTAR_SHARDS, clamped)
-    unsigned chains = 1;  ///< concurrent chains = max(1, total / shards)
-  };
-
   /// 0 = POLARSTAR_THREADS, falling back to hardware_concurrency. The
-  /// budget is split per WorkerBudget; sharding never changes results
-  /// (bit-identical at any shard count), only the parallelism shape.
+  /// pool runs that many load chains concurrently; each chain's points run
+  /// serially on its worker.
   explicit ExperimentRunner(unsigned num_threads = 0);
   /// Flushes pending JSON and traces (see set_json_path / set_trace_path)
   /// before tearing the pool down.
@@ -173,7 +166,6 @@ class ExperimentRunner {
                               const std::vector<SweepCase>& cases);
 
   unsigned num_threads() const { return pool_.size(); }
-  const WorkerBudget& worker_budget() const { return budget_; }
 
   /// Where results are written as JSON. Initialised from POLARSTAR_JSON at
   /// construction; empty disables emission. Override before run() in tests.
@@ -200,8 +192,8 @@ class ExperimentRunner {
 
   /// Engine self-profiler: when on (POLARSTAR_PROFILE=1, or this setter),
   /// every point runs with SimParams::profile and the runner aggregates the
-  /// per-phase / per-shard attribution plus its own worker-utilization
-  /// accounting into a profile report -- written to the profile stream
+  /// per-phase attribution plus its own worker-utilization accounting into
+  /// a profile report -- written to the profile stream
   /// (default stderr) after each run() and, through POLARSTAR_JSON, as the
   /// top-level "profile" block. stdout is never touched (the
   /// POLARSTAR_PROGRESS discipline), and simulation results are
@@ -232,7 +224,7 @@ class ExperimentRunner {
     sim::SimResult result;
     double wall_seconds;
     bool faulted = false;       // case carried a fault schedule
-    bool has_workload = false;  // emit the schema-5 "workload" block
+    bool has_workload = false;  // emit the "workload" block
     std::string workload_detail;
   };
 
@@ -243,17 +235,14 @@ class ExperimentRunner {
     std::size_t points = 0;
     std::uint64_t cycles = 0;
     double fault = 0.0, deliver = 0.0, inject = 0.0, route = 0.0;
-    double barrier = 0.0, telemetry = 0.0, driver_wait = 0.0;
-    std::vector<double> shard_task;  // summed by shard index
+    double barrier = 0.0, telemetry = 0.0;
     double point_wall = 0.0;         // sum of point wall_seconds
     double chain_wall = 0.0;         // sum of chain wall_seconds
     double run_wall = 0.0;           // sum of run() wall_seconds
   };
 
-  static WorkerBudget plan_budget(unsigned num_threads);
   void report_profile(const std::string& label) const;
 
-  WorkerBudget budget_;  // before pool_: its chains value sizes the pool
   ThreadPool pool_;
   std::string json_path_, trace_path_;
   std::ostream* progress_ = nullptr;

@@ -5,13 +5,21 @@
 
 namespace polarstar::runlab {
 
+unsigned long env_count(const char* name, unsigned long max) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return 0;
+  unsigned long n = 0;
+  for (const char* c = v; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') return 0;
+    n = n * 10 + static_cast<unsigned long>(*c - '0');
+    if (n > max) return 0;  // max < ULONG_MAX / 10: n * 10 never wraps
+  }
+  return n;
+}
+
 unsigned configured_threads() {
-  if (const char* v = std::getenv("POLARSTAR_THREADS")) {
-    char* end = nullptr;
-    const unsigned long n = std::strtoul(v, &end, 10);
-    if (end != v && *end == '\0' && n > 0 && n <= 1024) {
-      return static_cast<unsigned>(n);
-    }
+  if (const unsigned long n = env_count("POLARSTAR_THREADS", 1024)) {
+    return static_cast<unsigned>(n);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw != 0 ? hw : 1;

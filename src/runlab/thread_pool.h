@@ -16,8 +16,14 @@
 
 namespace polarstar::runlab {
 
-/// Worker count from the environment: POLARSTAR_THREADS if set to a
-/// positive integer, otherwise std::thread::hardware_concurrency().
+/// Strict reader for the integer POLARSTAR_* variables: the value of
+/// environment variable `name` when it is a non-empty string of decimal
+/// digits in [1, max], otherwise 0 (unset, empty, signed, trailing junk or
+/// out of range). `max` must be below ULONG_MAX / 10.
+unsigned long env_count(const char* name, unsigned long max);
+
+/// Worker count from the environment: POLARSTAR_THREADS if set to an
+/// integer in [1, 1024], otherwise std::thread::hardware_concurrency().
 unsigned configured_threads();
 
 class ThreadPool {

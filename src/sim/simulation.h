@@ -23,7 +23,6 @@
 
 #include "routing/ugal.h"
 #include "sim/network.h"
-#include "sim/shard_plan.h"
 #include "telemetry/collector.h"
 #include "telemetry/packet_trace.h"
 #include "telemetry/summary.h"
@@ -82,18 +81,6 @@ struct SimParams {
   /// diameter; packets over budget are dropped and retransmitted). Also
   /// clamps the VC index. 0 = num_vcs * 4.
   std::uint32_t fault_hop_limit = 0;
-  /// Worker shards executing each cycle's router loop in parallel with
-  /// barrier-synchronous semantics. Results are bit-identical at ANY value
-  /// (the POLARSTAR_THREADS contract, extended inside one Simulation).
-  /// 0 = POLARSTAR_SHARDS from the environment, else 1. Clamped to the
-  /// router count. Ignored (forced serial) under reference_impl.
-  std::uint32_t num_shards = 0;
-  /// Optional explicit router->shard plan (non-owning; must outlive the
-  /// Simulation and match the Network). nullptr = ShardPlan::contiguous
-  /// over the resolved shard count; a partitioner-driven plan (see
-  /// partition::shard_plan_from_partition) reduces cross-shard mailbox
-  /// traffic without changing results.
-  const ShardPlan* shard_plan = nullptr;
   /// Testing escape hatch: route every per-hop/per-packet query through the
   /// generic reference implementations (routing::UgalSelector over the
   /// virtual MinimalRouting, FaultAwareRouting::next_hops, the fully gated
@@ -102,33 +89,29 @@ struct SimParams {
   /// asserts it. Slow; never set outside tests.
   bool reference_impl = false;
   /// Engine self-profiler: attribute wall-clock time to the optimized step
-  /// loop's phases (faults, mailbox delivery, injection, switch allocation,
-  /// barrier replay, telemetry sampling) and to each shard's task body;
-  /// results land in SimResult::profile. Wall time only -- simulation
-  /// outputs are bit-identical with the profiler on or off. Not wired into
+  /// loop's phases (faults, link delivery, injection, switch allocation,
+  /// end-of-cycle bookkeeping, telemetry sampling); results land in
+  /// SimResult::profile. Wall time only -- simulation outputs are
+  /// bit-identical with the profiler on or off. Not wired into
   /// step_reference (the frozen twin stays verbatim), where profile yields
   /// an empty report.
   bool profile = false;
 };
 
 /// Wall-clock attribution for the simulator itself (SimParams::profile).
-/// Phase seconds cover the optimized step loop end to end; shard 0 runs on
-/// the calling thread, so deliver/route include its share of the parallel
-/// phases while driver_wait_seconds is the time the caller spent blocked on
-/// the other shards' barrier.
+/// Phase seconds cover the optimized step loop end to end.
 struct EngineProfile {
   bool enabled = false;
   std::uint64_t cycles = 0;        ///< cycles attributed below
   double fault_seconds = 0.0;      ///< phase 0: schedule events + retransmits
-  double deliver_seconds = 0.0;    ///< phase 1: arrival/credit mailbox drain
+  double deliver_seconds = 0.0;    ///< phase 1: link arrivals + credit returns
   double inject_seconds = 0.0;     ///< phase 2: traffic source tick
   double route_seconds = 0.0;      ///< phase 3: allocation + traversal
-  double barrier_seconds = 0.0;    ///< phase 4: staged replay + bookkeeping
+  /// Phase 4, end-of-cycle bookkeeping: the ejection pass in router order
+  /// (delivery counters, latency, on_delivered), deferred fault kills and
+  /// the deadlock detector.
+  double barrier_seconds = 0.0;
   double telemetry_seconds = 0.0;  ///< end of cycle: occupancy/metrics hooks
-  double driver_wait_seconds = 0.0;  ///< calling thread blocked at barriers
-  /// Seconds each shard spent inside deliver/route task bodies (index =
-  /// shard id; size = resolved shard count).
-  std::vector<double> shard_task_seconds;
 };
 
 struct PacketRecord {
@@ -157,7 +140,7 @@ struct SourceMark {
 /// Structured results a closed-loop source hands back through collect():
 /// stored in SimResult::source. collective_json, when non-empty, must be a
 /// balanced JSON object -- it is emitted verbatim as the per-point
-/// "collective" block of schema-7 POLARSTAR_JSON documents.
+/// "collective" block of POLARSTAR_JSON documents.
 struct SourceReport {
   std::string collective_json;
   std::vector<SourceMark> marks;
@@ -310,10 +293,7 @@ class Simulation {
     std::uint32_t next;
   };
   void inj_push(std::uint64_t ep, std::uint32_t pkt_idx);
-  // Unlinks the head node and parks it on `freed` instead of the shared
-  // free list: the router loop runs sharded, and the global free list is
-  // spliced once at the end-of-cycle barrier (see splice_freed_inj_nodes).
-  void inj_pop_front(std::uint64_t ep, std::vector<std::uint32_t>& freed);
+  void inj_pop_front(std::uint64_t ep);
 
   // UGAL-L fast path: bit-identical replica of routing::UgalSelector's
   // select()/cost() (same RNG consumption, same double accumulation order)
@@ -326,16 +306,6 @@ class Simulation {
   // occupancy() resolved to a directed link index (= port_base(r) + port).
   double occupancy_by_port(std::size_t link) const;
 
-  // ---- Sharded barrier-synchronous engine (see DESIGN.md) ----
-  // Every per-cycle side effect whose global order matters is staged per
-  // shard during the parallel router phase and replayed at the barrier in
-  // ascending-router order -- each shard iterates its routers ascending,
-  // so a K-way merge over the per-shard streams reproduces the serial
-  // order for any ShardPlan and any shard count.
-  struct FinalizeRec {
-    graph::Vertex router;
-    std::uint32_t pkt;
-  };
   // One switch-allocation request: req_stride_ slots per output port
   // (enough for every input of the widest router), with per-output counts
   // -- resetting a router's requests is nout stores.
@@ -345,54 +315,13 @@ class Simulation {
     std::uint16_t inport;     // arbitration input-port index at this router
     std::uint8_t ovc;
   };
-  // One deferred collector hook from the router loop. PacketRecord
-  // arguments are snapshotted at staging time (ShardScratch::snaps); the
-  // packet may mutate before the barrier replays the event.
-  struct StagedEvent {
-    enum class Kind : std::uint8_t { kRouted, kHop, kLink, kStall };
-    Kind kind;
-    std::uint8_t ovc;
-    std::uint8_t flag;  // kRouted: eject; kStall: StallCause
-    std::uint16_t port;
-    graph::Vertex router;
-    std::uint32_t idx;  // kRouted/kHop: snapshot index; kLink: link index
-    std::uint64_t aux;  // kHop: hop-wait arrival cycle
-  };
-  // Per-shard working state: allocation scratch (was shared members before
-  // the engine sharded) plus the staging buffers drained at the barrier.
-  struct ShardScratch {
-    // Allocation scratch, reused router to router within the shard. Only
-    // the outputs flagged in out_req hold requests, so resetting a router
-    // costs its requested outputs, not its radix.
-    std::vector<Request> req_store;
-    std::vector<std::uint32_t> req_count;
-    std::vector<std::uint64_t> out_req;      // bit per output with requests
-    std::vector<std::uint64_t> inport_used;  // bit per input port granted
-    std::vector<std::uint8_t> out_want_credit, out_want_vc, out_granted;
-    std::vector<graph::Vertex> fault_hops;
-    std::vector<std::uint16_t> fault_ports;
-    // Staged for the barrier.
-    std::vector<std::uint32_t> pending_kills;
-    std::vector<std::uint32_t> freed_inj;
-    std::vector<FinalizeRec> finals;
-    std::vector<StagedEvent> events;
-    std::vector<PacketRecord> snaps;
-    std::uint64_t moved = 0;
-    // Self-profiler: seconds this shard spent inside deliver/route task
-    // bodies (only accumulated when profile_).
-    double task_seconds = 0.0;
-  };
 
   // Route the head flit of packet pkt_idx at router r; fills out/ovc.
   // Fault-free a minimal next hop always exists and this returns true;
   // under faults it returns false when no live route remains (or the hop
   // budget is spent) and the caller queues the packet for a drop.
-  // `sc` supplies the fault scratch; `staged` defers the on_packet_routed
-  // hook into sc.events (parallel router loop) instead of firing it inline
-  // (serial reference loop).
   bool compute_route(std::uint32_t pkt_idx, graph::Vertex r,
-                     std::uint16_t& out, std::uint8_t& ovc, ShardScratch& sc,
-                     bool staged);
+                     std::uint16_t& out, std::uint8_t& ovc);
 
   // One full cycle. Dispatches through step_fn_, bound at construction:
   // the template parameters hoist the telemetry and fault cap-gates out of
@@ -405,25 +334,13 @@ class Simulation {
   void step() { (this->*step_fn_)(); }
   template <bool kTel, bool kFaults>
   void step_impl();
-
-  // Phase bodies the shard team executes (shard 0 on the calling thread).
-  // deliver_shard drains this cycle's arrival mailboxes addressed to the
-  // shard plus the shard's own credit-return ring slot; route_shard runs
-  // collection / arbitration / traversal over the shard's routers, staging
-  // every cross-cycle or ordered side effect into its ShardScratch.
-  void deliver_shard(std::uint32_t shard);
+  // Phase 3 of step_impl: allocation + switch traversal over the routers
+  // with a busy input, in ascending order.
   template <bool kTel, bool kFaults>
-  void route_shard(std::uint32_t shard);
-  // Barrier tail: replay the staged streams in canonical order, splice the
-  // freed injection nodes, sum the per-shard moved counters.
-  void replay_staged_events();
-  void replay_event(const StagedEvent& e, const ShardScratch& sc);
-  void replay_finalizes();
-  void splice_freed_inj_nodes();
-  // Runs `task` on every shard: through the worker team when num_shards_
-  // > 1, else directly on this thread.
-  using ShardTask = void (Simulation::*)(std::uint32_t);
-  void run_sharded(ShardTask task);
+  void route_routers();
+  // End-of-cycle ejection pass: finalize_flit for every flit ejected this
+  // cycle, in router order.
+  void finalize_ejected();
   // The pre-optimization cycle loop, kept verbatim (adapted only to the
   // pooled queue storage): scans every router/VC instead of the work
   // masks, recomputes receive-buffer indexes and arbitration input ports
@@ -441,10 +358,9 @@ class Simulation {
   void process_pending_kills();
   bool fault_progress_pending() const;  // work left besides in-network flits
   // Classify and report this cycle's non-moving output link ports of r
-  // (stall telemetry only); staged defers into sc.events.
-  void report_output_stalls(graph::Vertex r, std::uint32_t deg,
-                            ShardScratch& sc, bool staged);
-  void finalize_flit(std::uint32_t pkt_idx, graph::Vertex r);
+  // (stall telemetry only).
+  void report_output_stalls(graph::Vertex r, std::uint32_t deg);
+  void finalize_flit(std::uint32_t pkt_idx);
   void check_invariants() const;  // paranoid mode
 
   SimResult collect(std::uint64_t cycles);
@@ -463,12 +379,12 @@ class Simulation {
   bool ugal_telemetry_ = false;
   std::uint32_t occupancy_period_ = 0;
   // Periodic counter sampling (caps().metrics_period). Every counter a
-  // MetricsFrame reads is mutated in the serial phases only (injection in
-  // the source tick, ejection/latency in the barrier's finalize replay,
-  // fault counters in phase 0), and the sample itself fires in the serial
-  // end-of-cycle tail, so frames are bit-identical at any shard count
-  // without staging. The MetricsState snapshots turn the cumulative
-  // counters into interval diffs.
+  // MetricsFrame reads is mutated by helpers both engines share (injection
+  // in the source tick, ejection/latency in the end-of-cycle finalize
+  // pass, fault counters in phase 0), and the sample fires at the end of
+  // the cycle, so the optimized and reference engines emit identical
+  // frames. The MetricsState snapshots turn the cumulative counters into
+  // interval diffs.
   std::uint32_t metrics_period_ = 0;
   std::uint64_t metrics_accepted_flits_ = 0;  // cumulative ejected flits
   struct MetricsState {
@@ -537,16 +453,9 @@ class Simulation {
   std::vector<std::uint16_t> inj_sent_;  // flits of head packet already sent
   std::vector<VcState> inj_state_;
 
-  // Link pipeline, shard-mailboxed. Arrivals live in one ring of depth
-  // arr_depth_ per (sender shard, receiver shard) pair, flattened as
-  // [(s * num_shards_ + t) * arr_depth_ + cycle % arr_depth_]: senders
-  // write without synchronisation, receivers drain their column in
-  // ascending sender order. Within one slot every arrival targets a
-  // distinct buffer (a directed link carries at most one flit per cycle),
-  // so the drain order cannot affect state. Credit returns are shard-local
-  // (a pop returns the credit to the popping router's own buffer):
-  // [s * cred_depth_ + cycle % cred_depth_]. With num_shards_ == 1 both
-  // collapse to the classic single rings.
+  // Link pipeline: rings indexed by cycle % depth. An arrival slot holds
+  // the flits landing in input buffers that cycle; a credit slot the
+  // buffers whose freed slot becomes visible upstream that cycle.
   std::vector<std::vector<Arrival>> arrivals_;
   std::vector<std::vector<std::uint32_t>> credit_returns_;
   std::size_t arr_depth_ = 1, cred_depth_ = 1;
@@ -555,20 +464,24 @@ class Simulation {
   // ejection slots.
   std::vector<std::uint16_t> out_rr_link_;
   std::vector<std::uint16_t> out_rr_ej_;
-  std::vector<std::uint64_t> ej_base_;  // first ejection-rr index per router
 
-  // Sharded engine: resolved plan, per-shard scratch (allocation state the
-  // pre-shard engine kept in shared members, plus the barrier staging
-  // buffers), and the persistent worker team (null when num_shards_ == 1).
-  std::uint32_t num_shards_ = 1;
-  ShardPlan plan_;
+  // Switch-allocation scratch, reused router to router. Only the outputs
+  // flagged in out_req_ hold requests, so resetting a router costs its
+  // requested outputs, not its radix.
   std::size_t req_stride_ = 0;
-  std::vector<ShardScratch> shard_scratch_;
-  class ShardTeam;
-  std::unique_ptr<ShardTeam> team_;
-  ShardTask route_task_ = nullptr;  // route_shard<kTel, kFaults> binding
-  std::vector<std::uint32_t> kill_merge_;  // pending-kill merge scratch
-  std::vector<std::size_t> merge_cur_;     // replay-merge cursor scratch
+  std::vector<Request> req_store_;
+  std::vector<std::uint32_t> req_count_;
+  std::vector<std::uint64_t> out_req_;      // bit per output with requests
+  std::vector<std::uint64_t> inport_used_;  // bit per input port granted
+  std::vector<std::uint8_t> out_want_credit_, out_want_vc_, out_granted_;
+  std::vector<graph::Vertex> fault_hops_;
+  std::vector<std::uint16_t> fault_ports_;
+  // Deferred to the end of the cycle: packets found unroutable (killed
+  // after the router loop, so no purge edits a buffer mid-sweep) and
+  // flits ejected this cycle (finalized in router order, because
+  // on_delivered may enqueue new packets).
+  std::vector<std::uint32_t> pending_kills_;
+  std::vector<std::uint32_t> ejected_;
 
   routing::UgalSelector ugal_;  // reference selector (reference_impl mode)
 
@@ -585,20 +498,15 @@ class Simulation {
   // buffer of each directed link (num_vcs <= 32 enforced at construction).
   // Each router owns input_words_ whole words of input_busy_: bit p for a
   // link port with port_mask_ != 0, bit slot_bit0_ + s for an endpoint slot
-  // with a queued packet. router_busy_ has a bit per router with any input
-  // busy, shard s's routers in the words [shard_word_[s],
-  // shard_word_[s+1]) in plan_.routers[s] order. Walking a bitset visits
-  // set bits ascending, the order of the full scans it replaces; a router
-  // with no busy input is skipped whole (it would collect, grant and
-  // report nothing). No word spans two routers or two shards, so the
-  // parallel phases update them without synchronisation.
+  // with a queued packet. router_busy_ has bit r for each router r with
+  // any input busy. Walking a bitset visits set bits ascending, the order
+  // of the full scans it replaces; a router with no busy input is skipped
+  // whole (it would collect, grant and report nothing).
   std::vector<std::uint32_t> port_mask_;
   std::size_t input_words_ = 0;
   std::uint32_t slot_bit0_ = 0;  // first endpoint-slot bit (max degree)
   std::vector<std::uint64_t> input_busy_;
   std::vector<std::uint64_t> router_busy_;
-  std::vector<std::size_t> shard_word_;    // size num_shards_ + 1
-  std::vector<std::uint32_t> router_bit_;  // router -> bit in router_busy_
   std::vector<std::uint16_t> link_port_;   // directed link -> port at router
   // Flag / unflag input `bit` of router r, keeping router_busy_ in step.
   void input_up(graph::Vertex r, std::uint32_t bit);

@@ -6,7 +6,7 @@
 // 2^-kSubBits (3.125% for kSubBits = 5), and quantile() reports bucket
 // midpoints clamped to the observed [min, max] -- halving the worst case.
 // Histograms are mergeable (same layout by construction), which is what
-// lets per-shard collectors combine into one percentile view.
+// lets separately collected histograms combine into one percentile view.
 #pragma once
 
 #include <algorithm>

@@ -19,8 +19,8 @@
 //
 // TraceRecorder is a telemetry::Collector with a period-1 packet filter:
 // on_packet_injected fires once per packet birth (retransmits do not
-// re-fire it) in the serial injection phase, so the recorded stream is
-// identical at any POLARSTAR_THREADS x POLARSTAR_SHARDS. It rides along
+// re-fire it) in the injection phase, so the recorded stream is identical
+// at any POLARSTAR_THREADS. It rides along
 // any CollectorSet without perturbing other collectors (they re-filter
 // internally).
 #pragma once

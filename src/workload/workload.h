@@ -15,10 +15,10 @@
 // replay lives in trace.h.
 //
 // Determinism contract: every workload in this subsystem injects from
-// TrafficSource::tick, which the simulator calls in a *serial* phase of
-// each cycle regardless of POLARSTAR_SHARDS -- so a run is bit-identical
-// at any thread x shard combination, and a trace recorded from one run
-// replays to the identical SimResult (see trace.h). Closed-loop sources
+// TrafficSource::tick, which the simulator calls once per cycle before
+// switch allocation -- so a run is bit-identical at any thread count, and
+// a trace recorded from one run replays to the identical SimResult (see
+// trace.h). Closed-loop sources
 // that inject from on_delivered (the motif engines) are outside this
 // contract: their injections land a phase later than a tick-time replay
 // would, so recording them is not supported.

@@ -1,7 +1,7 @@
-// POLARSTAR_JSON schema-3 validation: run a sweep with telemetry through
-// the ExperimentRunner, parse the emitted file with the in-repo JSON
-// parser, and check the versioned schema plus a round-trip of the values
-// against the in-memory results. Doubles as the parser's own test.
+// POLARSTAR_JSON validation: run a sweep with telemetry through the
+// ExperimentRunner, parse the emitted file with the in-repo JSON parser,
+// and check the current schema (8) plus a round-trip of the values against
+// the in-memory results. Doubles as the parser's own test.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -89,7 +89,7 @@ TEST(JsonParser, DecodesUnicodeEscapes) {
 }
 
 TEST(JsonSchema, V3RoundTripsThroughTheRunner) {
-  const std::string path = ::testing::TempDir() + "schema_v3_test.json";
+  const std::string path = ::testing::TempDir() + "schema_test.json";
   std::remove(path.c_str());
 
   std::vector<runlab::CaseResult> results;
@@ -114,7 +114,7 @@ TEST(JsonSchema, V3RoundTripsThroughTheRunner) {
 
   const auto doc = json::parse_file(path);
   ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(require(doc, "schema").as_number(), 7.0);
+  EXPECT_EQ(require(doc, "schema").as_number(), 8.0);
   const auto& points = require(doc, "points").as_array();
   ASSERT_EQ(points.size(), 2u);
 
@@ -142,7 +142,7 @@ TEST(JsonSchema, V3RoundTripsThroughTheRunner) {
     EXPECT_NEAR(require(p, "avg_latency").as_number(),
                 res.avg_packet_latency,
                 1e-4 * (1.0 + std::abs(res.avg_packet_latency)));
-    // Schema 3: the percentile columns, ordered like any sane latency CDF.
+    // The percentile columns, ordered like any sane latency CDF.
     EXPECT_LE(require(p, "p50_latency").as_number(),
               require(p, "p99_latency").as_number());
     EXPECT_LE(require(p, "p99_latency").as_number(),
@@ -175,7 +175,7 @@ TEST(JsonSchema, V3RoundTripsThroughTheRunner) {
                   require(ugal, "minimal_no_candidate").as_number());
     const auto& occ = require(t, "occupancy");
     EXPECT_GT(require(occ, "samples").as_number(), 0.0);
-    // FullCollector now bundles the latency histogram (schema 3).
+    // FullCollector bundles the latency histogram.
     const auto& lat = require(t, "latency");
     EXPECT_EQ(require(lat, "packets").as_number(),
               static_cast<double>(res.telemetry.latency.packets));
@@ -186,7 +186,7 @@ TEST(JsonSchema, V3RoundTripsThroughTheRunner) {
 }
 
 TEST(JsonSchema, PointsWithoutTelemetryOmitTheBlock) {
-  const std::string path = ::testing::TempDir() + "schema_v3_plain.json";
+  const std::string path = ::testing::TempDir() + "schema_plain.json";
   std::remove(path.c_str());
   {
     runlab::ExperimentRunner r(1);
@@ -201,7 +201,7 @@ TEST(JsonSchema, PointsWithoutTelemetryOmitTheBlock) {
     r.run("plain", {c});
   }
   const auto doc = json::parse_file(path);
-  EXPECT_EQ(require(doc, "schema").as_number(), 7.0);
+  EXPECT_EQ(require(doc, "schema").as_number(), 8.0);
   const auto& points = require(doc, "points").as_array();
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0].find("telemetry"), nullptr);

@@ -2,11 +2,11 @@
 //
 // The TimeSeriesCollector's interval records must (a) tile the run and sum
 // to the run's own totals (partial final interval included), (b) be
-// *bit-identical* -- doubles included -- at shards 1/2/4 and against
-// SimParams::reference_impl, under faults too, (c) survive CollectorSet
-// fan-out with heterogeneous periods (gcd merge + member re-bucketing),
-// and (d) come out of the runlab stack as byte-identical schema-7 JSON and
-// counter-track traces at any threads x shards shape. The self-profiler
+// *bit-identical* -- doubles included -- against SimParams::reference_impl,
+// under faults too, (c) survive CollectorSet fan-out with heterogeneous
+// periods (gcd merge + member re-bucketing), and (d) come out of the runlab
+// stack as byte-identical JSON and counter-track traces at any thread
+// count and on the reference engine. The self-profiler
 // must never perturb a simulation result, and the POLARSTAR_PROGRESS
 // heartbeat must never touch stdout.
 #include <gtest/gtest.h>
@@ -57,10 +57,8 @@ struct SeriesRun {
   std::vector<telemetry::TimeSeriesInterval> intervals;
 };
 
-SeriesRun run_series(const sim::Network& net, sim::SimParams prm,
-                     std::uint32_t shards, double rate,
-                     std::uint32_t interval) {
-  prm.num_shards = shards;
+SeriesRun run_series(const sim::Network& net, const sim::SimParams& prm,
+                     double rate, std::uint32_t interval) {
   sim::PatternSource src(net.topology(), sim::Pattern::kUniform, rate,
                          prm.packet_flits, prm.seed);
   telemetry::TimeSeriesCollector col(interval);
@@ -71,8 +69,8 @@ SeriesRun run_series(const sim::Network& net, sim::SimParams prm,
   return out;
 }
 
-// Exact comparison, doubles included: neither a shard boundary nor the
-// reference engine may perturb a single bit of any interval field.
+// Exact comparison, doubles included: the reference engine may not perturb
+// a single bit of any interval field.
 void expect_identical(const std::vector<telemetry::TimeSeriesInterval>& a,
                       const std::vector<telemetry::TimeSeriesInterval>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -105,7 +103,7 @@ std::string read_file(const std::string& path) {
 // wall_seconds / *_wall_seconds / profile seconds are wall clock: the only
 // JSON content allowed to differ between runs of identical work. The
 // metrics suite never emits the profile block, so stripping wall_seconds
-// (as the shard suite does) is sufficient.
+// is sufficient.
 std::string strip_wall_seconds(std::string body) {
   for (std::size_t pos = body.find("\"wall_seconds\": ");
        pos != std::string::npos; pos = body.find("\"wall_seconds\": ", pos)) {
@@ -125,7 +123,7 @@ TEST(MetricsSeries, FramesTileTheRunAndSumToTotals) {
   const auto net =
       polarstar_net({5, 3, core::SupernodeKind::kInductiveQuad, 2});
   const std::uint32_t interval = 128;  // never divides the run length
-  const auto run = run_series(*net, base_params(), 1, 0.2, interval);
+  const auto run = run_series(*net, base_params(), 0.2, interval);
   const auto& ivs = run.intervals;
   ASSERT_FALSE(ivs.empty());
   EXPECT_EQ(ivs.front().begin_cycle, 0u);
@@ -164,27 +162,23 @@ TEST(MetricsSeries, FramesTileTheRunAndSumToTotals) {
   EXPECT_EQ(ivs.back().in_flight, injected - ejected);
 }
 
-// The acceptance bar: the whole interval series is bit-identical at shards
-// 1/2/4 and against the serial generic reference implementation.
-TEST(MetricsSeries, IntervalsIdenticalAtAnyShardCountAndVsReference) {
+// The acceptance bar: the whole interval series is bit-identical against
+// the generic reference implementation.
+TEST(MetricsSeries, IntervalsIdenticalVsReference) {
   const auto net =
       polarstar_net({5, 3, core::SupernodeKind::kInductiveQuad, 2});
   const std::uint32_t interval = 100;
-  const auto s1 = run_series(*net, base_params(), 1, 0.25, interval);
-  const auto s2 = run_series(*net, base_params(), 2, 0.25, interval);
-  const auto s4 = run_series(*net, base_params(), 4, 0.25, interval);
-  ASSERT_GT(s1.result.packets_delivered, 0u);
-  expect_identical(s1.intervals, s2.intervals);
-  expect_identical(s1.intervals, s4.intervals);
+  const auto fast = run_series(*net, base_params(), 0.25, interval);
+  ASSERT_GT(fast.result.packets_delivered, 0u);
   auto ref_prm = base_params();
   ref_prm.reference_impl = true;
-  const auto ref = run_series(*net, ref_prm, 4, 0.25, interval);
-  expect_identical(s1.intervals, ref.intervals);
+  const auto ref = run_series(*net, ref_prm, 0.25, interval);
+  expect_identical(fast.intervals, ref.intervals);
 }
 
 // Under live faults the interval fault columns must sum to the run's fault
-// counters and stay shard-independent -- drops, retransmits and losses all
-// cross the barrier phases.
+// counters and match the reference engine -- drops, retransmits and losses
+// all land mid-run.
 TEST(MetricsSeries, FaultColumnsSumAndStayDeterministic) {
   const auto net = polarstar_net({4, 4, core::SupernodeKind::kPaley, 3});
   auto prm = base_params();
@@ -197,7 +191,7 @@ TEST(MetricsSeries, FaultColumnsSumAndStayDeterministic) {
   const auto sched =
       fault::FaultSchedule::random(net->topology(), spec, /*seed=*/11);
   prm.faults = &sched;
-  const auto s1 = run_series(*net, prm, 1, 0.2, 200);
+  const auto s1 = run_series(*net, prm, 0.2, 200);
   ASSERT_GT(s1.result.fault_events, 0u);
   ASSERT_GT(s1.result.packets_dropped, 0u);
   std::uint64_t dropped = 0, retx = 0, lost = 0;
@@ -209,11 +203,9 @@ TEST(MetricsSeries, FaultColumnsSumAndStayDeterministic) {
   EXPECT_EQ(dropped, s1.result.packets_dropped);
   EXPECT_EQ(retx, s1.result.retransmits);
   EXPECT_EQ(lost, s1.result.packets_lost);
-  const auto s4 = run_series(*net, prm, 4, 0.2, 200);
-  expect_identical(s1.intervals, s4.intervals);
   auto ref_prm = prm;
   ref_prm.reference_impl = true;
-  const auto ref = run_series(*net, ref_prm, 1, 0.2, 200);
+  const auto ref = run_series(*net, ref_prm, 0.2, 200);
   expect_identical(s1.intervals, ref.intervals);
 }
 
@@ -234,16 +226,17 @@ TEST(MetricsSeries, CollectorSetGcdMergeMatchesSoloRuns) {
   sim::Simulation s(*net, prm, src, &set);
   const auto res = s.run();
   ASSERT_GT(res.packets_delivered, 0u);
-  const auto solo30 = run_series(*net, prm, 1, 0.2, 30);
-  const auto solo50 = run_series(*net, prm, 1, 0.2, 50);
+  const auto solo30 = run_series(*net, prm, 0.2, 30);
+  const auto solo50 = run_series(*net, prm, 0.2, 50);
   expect_identical(c30.intervals(), solo30.intervals);
   expect_identical(c50.intervals(), solo50.intervals);
 }
 
-// The runlab stack end to end: schema-7 JSON (timeseries block, modulo
-// wall clock) and the counter-track Perfetto trace are byte-identical over
-// the full threads {1,4} x shards {1,2,4} grid.
-TEST(MetricsSeries, RunlabJsonAndTraceBytesIdenticalOnThreadShardGrid) {
+// The runlab stack end to end: JSON (timeseries and fault blocks, modulo
+// wall clock) and the Perfetto trace (flights, fault marks, counter tracks)
+// are byte-identical at threads 1 and 4, on the optimized and the
+// reference engine alike.
+TEST(MetricsSeries, RunlabBytesIdenticalAcrossThreadsAndVsReference) {
   const auto net =
       polarstar_net({5, 3, core::SupernodeKind::kInductiveQuad, 2});
   fault::ScheduleSpec spec;
@@ -268,16 +261,16 @@ TEST(MetricsSeries, RunlabJsonAndTraceBytesIdenticalOnThreadShardGrid) {
 
   std::string ref_json, ref_trace;
   for (const unsigned threads : {1u, 4u}) {
-    for (const std::uint32_t shards : {1u, 2u, 4u}) {
-      const std::string tag = std::to_string(threads) + "x" +
-                              std::to_string(shards);
+    for (const bool reference : {false, true}) {
+      const std::string tag = std::to_string(threads) +
+                              (reference ? "-ref" : "-fast");
       const std::string json = ::testing::TempDir() + "metrics_" + tag +
                                ".json";
       const std::string trace = ::testing::TempDir() + "metrics_" + tag +
                                 ".trace";
       {
         auto grid_cases = cases;
-        for (auto& c : grid_cases) c.params.num_shards = shards;
+        for (auto& c : grid_cases) c.params.reference_impl = reference;
         runlab::ExperimentRunner runner(threads);
         runner.set_json_path(json);
         runner.set_trace_path(trace);
@@ -289,8 +282,9 @@ TEST(MetricsSeries, RunlabJsonAndTraceBytesIdenticalOnThreadShardGrid) {
       if (ref_json.empty()) {
         ref_json = body;
         ref_trace = tbody;
-        EXPECT_NE(body.find("\"schema\": 7"), std::string::npos);
+        EXPECT_NE(body.find("\"schema\": 8"), std::string::npos);
         EXPECT_NE(body.find("\"timeseries\": {"), std::string::npos);
+        EXPECT_NE(body.find("\"fault\": {"), std::string::npos);
         EXPECT_NE(tbody.find("\"ph\":\"C\""), std::string::npos);
         EXPECT_NE(tbody.find("\"name\":\"in_flight\""), std::string::npos);
         // The faulted case's counter set adds the dropped track.
@@ -334,15 +328,15 @@ TEST(MetricsSeries, PerCaseIntervalOverridesRunnerDefault) {
 }
 
 // The self-profiler is observational: bit-identical SimResult with it on
-// or off, a populated report when on (per-shard attribution included),
-// and an inert report under reference_impl (the frozen twin is unwired).
+// or off, a populated report when on, and an inert report under
+// reference_impl (the frozen twin is unwired).
 TEST(EngineProfiler, ObservationalAndPopulated) {
   const auto net =
       polarstar_net({5, 3, core::SupernodeKind::kInductiveQuad, 2});
-  const auto off = run_series(*net, base_params(), 2, 0.25, 100);
+  const auto off = run_series(*net, base_params(), 0.25, 100);
   auto prof_prm = base_params();
   prof_prm.profile = true;
-  const auto on = run_series(*net, prof_prm, 2, 0.25, 100);
+  const auto on = run_series(*net, prof_prm, 0.25, 100);
   expect_identical(off.intervals, on.intervals);
   EXPECT_EQ(off.result.packets_delivered, on.result.packets_delivered);
   EXPECT_EQ(off.result.avg_packet_latency, on.result.avg_packet_latency);
@@ -351,12 +345,10 @@ TEST(EngineProfiler, ObservationalAndPopulated) {
   EXPECT_EQ(on.result.profile.cycles, on.result.cycles);
   EXPECT_GT(on.result.profile.route_seconds, 0.0);
   EXPECT_GT(on.result.profile.deliver_seconds, 0.0);
-  ASSERT_EQ(on.result.profile.shard_task_seconds.size(), 2u);
-  EXPECT_GT(on.result.profile.shard_task_seconds[0], 0.0);
-  EXPECT_GT(on.result.profile.shard_task_seconds[1], 0.0);
+  EXPECT_GT(on.result.profile.barrier_seconds, 0.0);
   auto ref_prm = prof_prm;
   ref_prm.reference_impl = true;
-  const auto ref = run_series(*net, ref_prm, 1, 0.25, 100);
+  const auto ref = run_series(*net, ref_prm, 0.25, 100);
   EXPECT_FALSE(ref.result.profile.enabled);
   EXPECT_EQ(ref.result.profile.cycles, 0u);
 }
@@ -387,9 +379,13 @@ TEST(EngineProfiler, RunnerReportAndJsonBlock) {
   EXPECT_NE(report.find("switch allocation"), std::string::npos);
   EXPECT_NE(report.find("utilization"), std::string::npos);
   const std::string body = read_file(json);
-  EXPECT_NE(body.find("\"schema\": 7"), std::string::npos);
+  EXPECT_NE(body.find("\"schema\": 8"), std::string::npos);
   EXPECT_NE(body.find("\"profile\": {\"points\": 1"), std::string::npos);
   EXPECT_NE(body.find("\"worker_utilization\": "), std::string::npos);
+  EXPECT_NE(body.find("\"workers\": 2"), std::string::npos);
+  // One simulation runs on one thread: no per-shard fields.
+  EXPECT_EQ(body.find("shard"), std::string::npos);
+  EXPECT_EQ(body.find("driver_wait"), std::string::npos);
   std::remove(json.c_str());
 }
 

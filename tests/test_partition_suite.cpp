@@ -4,10 +4,8 @@
 // the declared capacity, replication factor / cut matching an independent
 // brute-force recount here -- on every Table 3 configuration and on a
 // >1M-edge synthetic stream; assignments must be identical across
-// concurrently running threads; the router->shard bridge must beat the
-// contiguous plan on PS-IQ without moving a bit of the SimResult; and the
-// multi-tenant placement bridge must keep jobs strictly inside their
-// partition-derived endpoint sets.
+// concurrently running threads; and the multi-tenant placement bridge
+// must keep jobs strictly inside their partition-derived endpoint sets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,12 +21,10 @@
 
 #include "analysis/topology_zoo.h"
 #include "core/polarstar.h"
-#include "partition/shard_assign.h"
 #include "partition/stream.h"
 #include "partition/streaming.h"
 #include "routing/routing.h"
 #include "sim/network.h"
-#include "sim/shard_plan.h"
 #include "sim/simulation.h"
 #include "sim/traffic.h"
 #include "workload/generators.h"
@@ -286,60 +282,6 @@ TEST(StreamingPartition, OptionEdgeCases) {
     EXPECT_EQ(p.balance, 1.0);
   }
   EXPECT_THROW(part::CirculantStream(4, 2, 3), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Router -> shard bridge: a streaming plan must beat the contiguous plan's
-// cross-shard link fraction on PS-IQ and must never perturb the SimResult.
-
-TEST(ShardPlanStreaming, BeatsContiguousOnPsIqAndIsDeterministic) {
-  const auto net =
-      polarstar_net({5, 3, core::SupernodeKind::kInductiveQuad, 2});
-  for (std::uint32_t shards : {2u, 3u, 4u}) {
-    const auto contiguous = sim::ShardPlan::contiguous(*net, shards);
-    double best = 1.0;
-    for (const auto algo : part::kAllStreamAlgos) {
-      const auto plan = part::shard_plan_from_streaming(*net, shards, algo);
-      ASSERT_EQ(plan.num_shards, shards);
-      const auto again = part::shard_plan_from_streaming(*net, shards, algo);
-      EXPECT_EQ(plan.shard_of_router, again.shard_of_router)
-          << part::to_string(algo);
-      best = std::min(best, plan.cross_shard_link_fraction(*net));
-    }
-    // At least one streaming algorithm matches or beats contiguous.
-    EXPECT_LE(best, contiguous.cross_shard_link_fraction(*net))
-        << "shards=" << shards;
-  }
-  EXPECT_THROW(part::shard_plan_from_streaming(
-                   *net, 0, part::StreamAlgo::kLdg),
-               std::invalid_argument);
-  EXPECT_THROW(
-      part::shard_plan_from_streaming(
-          *net, net->topology().num_routers() + 1, part::StreamAlgo::kLdg),
-      std::invalid_argument);
-}
-
-TEST(ShardPlanStreaming, SimResultBitIdenticalUnderAnyStreamingPlan) {
-  const auto net =
-      polarstar_net({5, 3, core::SupernodeKind::kInductiveQuad, 2});
-  auto prm = base_params();
-  const auto run = [&](std::uint32_t shards, const sim::ShardPlan* plan) {
-    auto p = prm;
-    p.num_shards = shards;
-    p.shard_plan = plan;
-    sim::PatternSource src(net->topology(), sim::Pattern::kUniform, 0.1,
-                           p.packet_flits, p.seed);
-    sim::Simulation s(*net, p, src);
-    return s.run();
-  };
-  const auto serial = run(0, nullptr);
-  for (const auto algo :
-       {part::StreamAlgo::kLdg, part::StreamAlgo::kHdrf}) {
-    const auto plan = part::shard_plan_from_streaming(*net, 2, algo);
-    expect_identical(serial, run(2, &plan));
-    const auto plan4 = part::shard_plan_from_streaming(*net, 4, algo);
-    expect_identical(serial, run(4, &plan4));
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -204,9 +204,9 @@ TEST(PerfEquivalence, MinimalAdaptive) {
 
 // Routers wider than one 64-bit word: the allocator's busy-input and
 // output-request bitsets span several words per router (K_70 gives 69
-// link ports; router 0 also carries 70 endpoints). Paranoid checks verify
-// the bitsets against the buffers every cycle; two shards split the
-// busy-router bitset.
+// link ports; router 0 also carries 70 endpoints), and the busy-router
+// bitset spans two words. Paranoid checks verify the bitsets against the
+// buffers every cycle.
 TEST(PerfEquivalence, WideRoutersSpanSeveralWorkWords) {
   auto t = std::make_shared<topo::Topology>();
   std::vector<g::Edge> edges;
@@ -225,8 +225,6 @@ TEST(PerfEquivalence, WideRoutersSpanSeveralWorkWords) {
   const auto fast = run_pattern(net, prm, false, 0.4);
   expect_identical(ref, fast);
   EXPECT_GT(fast.packets_delivered, 0u);
-  prm.num_shards = 2;
-  expect_identical(ref, run_pattern(net, prm, false, 0.4));
 }
 
 // UGAL consumes RNG draws and compares double-valued path costs; the fast
@@ -310,6 +308,43 @@ TEST(PerfEquivalence, TraceBytes) {
   const std::string fast_bytes = render(false);
   EXPECT_FALSE(ref_bytes.empty());
   EXPECT_EQ(ref_bytes, fast_bytes);
+}
+
+// The hardest combination for the trace: UGAL (RNG draws, Valiant legs a
+// failure can break) under live faults with the flight recorder on. Hop
+// sequences, retransmit timing and fault drops must all produce the same
+// exported Chrome-trace bytes.
+TEST(PerfEquivalence, UgalFaultTraceBytes) {
+  const auto net = polarstar_net({4, 4, core::SupernodeKind::kPaley, 3});
+  auto prm = base_params();
+  prm.path_mode = sim::PathMode::kUgal;
+  prm.num_vcs = 8;
+  fault::ScheduleSpec spec;
+  spec.link_fail_fraction = 0.05;
+  spec.begin_cycle = 300;
+  spec.end_cycle = 301;
+  const auto sched =
+      fault::FaultSchedule::random(net->topology(), spec, /*seed=*/11);
+  prm.faults = &sched;
+  const auto render = [&](bool reference) {
+    telemetry::PacketFilter filter;
+    filter.sample_period = 16;
+    telemetry::PacketTraceCollector col(filter);
+    const auto res = run_pattern(*net, prm, reference, 0.2, &col);
+    EXPECT_GT(res.fault_events, 0u);
+    EXPECT_GT(res.packets_dropped, 0u);
+    io::PacketTraceGroup group;
+    group.label = "perf-equivalence-ugal";
+    group.run_cycles = res.cycles;
+    group.traces = col.take_traces();
+    group.faults = col.take_fault_marks();
+    std::ostringstream os;
+    io::write_chrome_trace(os, {&group, 1});
+    return os.str();
+  };
+  const std::string ref_bytes = render(true);
+  EXPECT_FALSE(ref_bytes.empty());
+  EXPECT_EQ(ref_bytes, render(false));
 }
 
 // Collective engine runs are closed-loop (every send reacts to a prior

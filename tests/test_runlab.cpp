@@ -148,49 +148,37 @@ TEST(Runner, StopsChainAfterSaturation) {
   EXPECT_TRUE(all[0].points[2].ran);
 }
 
-TEST(Runner, WorkerBudgetClampsShardsTimesChains) {
-  // POLARSTAR_THREADS x POLARSTAR_SHARDS share one budget: shards come out
-  // of the thread count instead of multiplying it, so a 16-point sweep at
-  // 4 shards never spawns 16x4 threads.
-  ::setenv("POLARSTAR_SHARDS", "4", 1);
-  {
-    runlab::ExperimentRunner r(8);
-    const auto& b = r.worker_budget();
-    EXPECT_EQ(b.total, 8u);
-    EXPECT_EQ(b.shards, 4u);
-    EXPECT_EQ(b.chains, 2u);
-    EXPECT_EQ(r.num_threads(), 2u);
-  }
-  {
-    // Budget smaller than the shard request: shards clamp to the budget.
-    runlab::ExperimentRunner r(2);
-    EXPECT_EQ(r.worker_budget().shards, 2u);
-    EXPECT_EQ(r.worker_budget().chains, 1u);
-  }
-  ::unsetenv("POLARSTAR_SHARDS");
-  runlab::ExperimentRunner r(4);
-  EXPECT_EQ(r.worker_budget().shards, 1u);
-  EXPECT_EQ(r.worker_budget().chains, 4u);
+TEST(Runner, PoolSizeIsTheThreadCount) {
+  // Every worker runs whole load chains; the pool is exactly the thread
+  // count asked for, or POLARSTAR_THREADS when none is given.
+  EXPECT_EQ(runlab::ExperimentRunner(8).num_threads(), 8u);
+  EXPECT_EQ(runlab::ExperimentRunner(1).num_threads(), 1u);
+  ::setenv("POLARSTAR_THREADS", "3", 1);
+  EXPECT_EQ(runlab::ExperimentRunner().num_threads(), 3u);
+  ::unsetenv("POLARSTAR_THREADS");
+  EXPECT_EQ(runlab::ExperimentRunner().num_threads(),
+            runlab::configured_threads());
+}
 
-  // An explicit per-case shard request is clamped to the budget too, and
-  // the sharded sweep still matches the serial one bit for bit.
-  runlab::SweepCase c;
-  c.name = "DF";
-  c.net = small_dragonfly();
-  c.params = short_params();
-  c.params.num_shards = 64;  // clamped to this runner's budget of 4
-  c.loads = {0.1, 0.2};
-  c.stop_after_saturation = false;
-  const auto sharded = r.run("budget", {c});
-  c.params.num_shards = 1;
-  runlab::ExperimentRunner serial(1);
-  const auto plain = serial.run("budget", {c});
-  ASSERT_EQ(sharded[0].points.size(), plain[0].points.size());
-  for (std::size_t j = 0; j < plain[0].points.size(); ++j) {
-    EXPECT_TRUE(same_result(sharded[0].points[j].result,
-                            plain[0].points[j].result))
-        << "load " << plain[0].points[j].load;
-  }
+// POLARSTAR_METRICS_INTERVAL is read strictly, by the same rule as
+// POLARSTAR_THREADS: decimal digits only and within range, else off.
+TEST(Runner, MetricsIntervalParsesStrictly) {
+  const auto interval_for = [](const char* v) {
+    ::setenv("POLARSTAR_METRICS_INTERVAL", v, 1);
+    const std::uint32_t parsed = runlab::configured_metrics_interval();
+    EXPECT_EQ(runlab::ExperimentRunner(1).metrics_interval(), parsed) << v;
+    return parsed;
+  };
+  EXPECT_EQ(interval_for("25"), 25u);
+  EXPECT_EQ(interval_for("0"), 0u);
+  EXPECT_EQ(interval_for("-1"), 0u);  // strtoul alone wraps to 4294967295
+  EXPECT_EQ(interval_for("10x"), 0u);  // strtoul alone stops at 10
+  EXPECT_EQ(interval_for("abc"), 0u);
+  EXPECT_EQ(interval_for(""), 0u);
+  EXPECT_EQ(interval_for("4294967295"), 4294967295u);
+  EXPECT_EQ(interval_for("4294967296"), 0u);  // does not fit 32 bits
+  ::unsetenv("POLARSTAR_METRICS_INTERVAL");
+  EXPECT_EQ(runlab::configured_metrics_interval(), 0u);
 }
 
 TEST(Runner, SkippedCaseNeverRuns) {

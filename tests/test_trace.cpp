@@ -416,7 +416,7 @@ TEST(Runner, EnvironmentPathsEmitValidJsonAndTrace) {
   ::unsetenv("POLARSTAR_TRACE");
 
   const auto points_doc = json::parse_file(jpath);
-  EXPECT_EQ(points_doc.find("schema")->as_number(), 7.0);
+  EXPECT_EQ(points_doc.find("schema")->as_number(), 8.0);
   const auto& pts = points_doc.find("points")->as_array();
   ASSERT_EQ(pts.size(), 1u);
   EXPECT_NE(pts[0].find("p50_latency"), nullptr);

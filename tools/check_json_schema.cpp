@@ -3,18 +3,12 @@
 //   check_json_schema <file.json> [...]   validate runner output files
 //   check_json_schema --selftest          validate a built-in example
 //
-// Accepts schema 7 (adds per-point "collective" blocks for closed-loop
-// collective runs), schema 6 (adds per-point "timeseries" telemetry sub-blocks and
-// an optional top-level "profile" engine-attribution block), schema 5
-// (adds per-point "workload" blocks for scenario-driven
-// sweeps), schema 4 (adds per-point "fault" blocks and a "fault" telemetry
-// sub-block for availability sweeps), schema 3 (adds p50/p99.9 percentile
-// columns and optional "latency"/"trace" telemetry sub-blocks), schema 2
-// (object with "schema"/"points", optional per-point "telemetry" blocks)
-// and the legacy schema-1 bare points array. Exits
-// non-zero with a message on the first violation, so it slots into CI
-// after any bench run: POLARSTAR_JSON=out.json bench_... &&
-// check_json_schema out.json.
+// Accepts the current schema, 8 (EXPERIMENTS.md "POLARSTAR_JSON schema"):
+// an object with "schema" and "points", optional per-point "workload",
+// "collective", "fault" and "telemetry" blocks, and an optional top-level
+// "profile" block. Exits non-zero with a message on the first violation,
+// so it slots into CI after any bench run: POLARSTAR_JSON=out.json
+// bench_... && check_json_schema out.json.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -33,7 +27,7 @@ const json::Value& require(const json::Value& obj, const std::string& key,
   return *v;
 }
 
-void check_point(const json::Value& p, std::size_t index, int schema) {
+void check_point(const json::Value& p, std::size_t index) {
   try {
     if (!p.is_object()) throw std::runtime_error("point is not an object");
     require(p, "sweep", json::Value::Kind::kString);
@@ -48,16 +42,12 @@ void check_point(const json::Value& p, std::size_t index, int schema) {
     require(p, "stable", json::Value::Kind::kBool);
     require(p, "deadlock", json::Value::Kind::kBool);
     require(p, "avg_latency", json::Value::Kind::kNumber);
-    require(p, "p99_latency", json::Value::Kind::kNumber);
-    if (schema >= 3) {
-      const auto& p50 = require(p, "p50_latency", json::Value::Kind::kNumber);
-      const auto& p99 = require(p, "p99_latency", json::Value::Kind::kNumber);
-      const auto& p999 =
-          require(p, "p999_latency", json::Value::Kind::kNumber);
-      if (p50.as_number() > p99.as_number() ||
-          p99.as_number() > p999.as_number()) {
-        throw std::runtime_error("latency percentiles are not monotone");
-      }
+    const auto& p50 = require(p, "p50_latency", json::Value::Kind::kNumber);
+    const auto& p99 = require(p, "p99_latency", json::Value::Kind::kNumber);
+    const auto& p999 = require(p, "p999_latency", json::Value::Kind::kNumber);
+    if (p50.as_number() > p99.as_number() ||
+        p99.as_number() > p999.as_number()) {
+      throw std::runtime_error("latency percentiles are not monotone");
     }
     require(p, "avg_hops", json::Value::Kind::kNumber);
     require(p, "accepted_flit_rate", json::Value::Kind::kNumber);
@@ -65,9 +55,6 @@ void check_point(const json::Value& p, std::size_t index, int schema) {
     require(p, "measured_packets", json::Value::Kind::kNumber);
     require(p, "wall_seconds", json::Value::Kind::kNumber);
     if (const json::Value* w = p.find("workload")) {
-      if (schema < 5) {
-        throw std::runtime_error("\"workload\" block requires schema 5");
-      }
       if (!w->is_object()) throw std::runtime_error("workload not an object");
       const auto& wname = require(*w, "name", json::Value::Kind::kString);
       // The point's pattern field carries the workload name, so the two
@@ -82,9 +69,6 @@ void check_point(const json::Value& p, std::size_t index, int schema) {
       }
     }
     if (const json::Value* c = p.find("collective")) {
-      if (schema < 7) {
-        throw std::runtime_error("\"collective\" block requires schema 7");
-      }
       if (!c->is_object()) {
         throw std::runtime_error("collective not an object");
       }
@@ -114,9 +98,6 @@ void check_point(const json::Value& p, std::size_t index, int schema) {
       }
     }
     if (const json::Value* f = p.find("fault")) {
-      if (schema < 4) {
-        throw std::runtime_error("\"fault\" block requires schema 4");
-      }
       if (!f->is_object()) throw std::runtime_error("fault not an object");
       for (const char* k : {"events", "dropped", "retransmits", "lost",
                             "measured_lost", "delivered_fraction"}) {
@@ -166,9 +147,6 @@ void check_point(const json::Value& p, std::size_t index, int schema) {
         require(*oc, "avg_router_flits", json::Value::Kind::kNumber);
       }
       if (const json::Value* lat = t->find("latency")) {
-        if (schema < 3) {
-          throw std::runtime_error("\"latency\" block requires schema 3");
-        }
         for (const char* k : {"packets", "p50", "p90", "p99", "p999"}) {
           require(*lat, k, json::Value::Kind::kNumber);
         }
@@ -177,9 +155,6 @@ void check_point(const json::Value& p, std::size_t index, int schema) {
         }
       }
       if (const json::Value* tr = t->find("trace")) {
-        if (schema < 3) {
-          throw std::runtime_error("\"trace\" block requires schema 3");
-        }
         for (const char* k : {"sampled", "delivered", "period"}) {
           require(*tr, k, json::Value::Kind::kNumber);
         }
@@ -189,20 +164,12 @@ void check_point(const json::Value& p, std::size_t index, int schema) {
         }
       }
       if (const json::Value* tf = t->find("fault")) {
-        if (schema < 4) {
-          throw std::runtime_error(
-              "telemetry \"fault\" block requires schema 4");
-        }
         for (const char* k : {"events", "link_down", "router_down", "repairs",
                               "dropped", "retransmits", "lost"}) {
           require(*tf, k, json::Value::Kind::kNumber);
         }
       }
       if (const json::Value* ts = t->find("timeseries")) {
-        if (schema < 6) {
-          throw std::runtime_error(
-              "telemetry \"timeseries\" block requires schema 6");
-        }
         const auto& interval =
             require(*ts, "interval", json::Value::Kind::kNumber);
         if (interval.as_number() <= 0.0) {
@@ -246,64 +213,43 @@ void check_point(const json::Value& p, std::size_t index, int schema) {
 
 /// Returns the number of points validated; throws on any violation.
 std::size_t check_document(const json::Value& doc) {
-  const json::Array* points = nullptr;
-  int schema = 1;
-  if (doc.is_array()) {
-    points = &doc.as_array();  // legacy schema 1: bare points array
-  } else if (doc.is_object()) {
-    const auto& v = require(doc, "schema", json::Value::Kind::kNumber);
-    if (v.as_number() != 2.0 && v.as_number() != 3.0 && v.as_number() != 4.0 &&
-        v.as_number() != 5.0 && v.as_number() != 6.0 && v.as_number() != 7.0) {
-      throw std::runtime_error("unsupported schema " +
-                               std::to_string(v.as_number()));
-    }
-    schema = static_cast<int>(v.as_number());
-    points = &require(doc, "points", json::Value::Kind::kArray).as_array();
-    if (const json::Value* prof = doc.find("profile")) {
-      if (schema < 6) {
-        throw std::runtime_error("\"profile\" block requires schema 6");
-      }
-      if (!prof->is_object()) {
-        throw std::runtime_error("profile not an object");
-      }
-      for (const char* k :
-           {"points", "cycles", "driver_wait_seconds", "point_wall_seconds",
-            "chain_wall_seconds", "run_wall_seconds", "workers", "chains",
-            "shards", "worker_utilization"}) {
-        if (require(*prof, k, json::Value::Kind::kNumber).as_number() < 0.0) {
-          throw std::runtime_error(std::string("negative profile \"") + k +
-                                   "\"");
-        }
-      }
-      const auto& phases =
-          require(*prof, "phases", json::Value::Kind::kObject);
-      for (const char* k : {"fault", "deliver", "inject", "route", "barrier",
-                            "telemetry"}) {
-        if (require(phases, k, json::Value::Kind::kNumber).as_number() <
-            0.0) {
-          throw std::runtime_error(std::string("negative profile phase \"") +
-                                   k + "\"");
-        }
-      }
-      const auto& shard_task =
-          require(*prof, "shard_task_seconds", json::Value::Kind::kArray);
-      for (const json::Value& s : shard_task.as_array()) {
-        if (!s.is_number() || s.as_number() < 0.0) {
-          throw std::runtime_error("bad profile shard_task_seconds entry");
-        }
+  if (!doc.is_object()) throw std::runtime_error("document is not an object");
+  const auto& v = require(doc, "schema", json::Value::Kind::kNumber);
+  if (v.as_number() != 8.0) {
+    throw std::runtime_error("unsupported schema " +
+                             std::to_string(v.as_number()) + " (want 8)");
+  }
+  const auto& points =
+      require(doc, "points", json::Value::Kind::kArray).as_array();
+  if (const json::Value* prof = doc.find("profile")) {
+    if (!prof->is_object()) throw std::runtime_error("profile not an object");
+    for (const char* k :
+         {"points", "cycles", "point_wall_seconds", "chain_wall_seconds",
+          "run_wall_seconds", "workers", "chains", "worker_utilization"}) {
+      if (require(*prof, k, json::Value::Kind::kNumber).as_number() < 0.0) {
+        throw std::runtime_error(std::string("negative profile \"") + k +
+                                 "\"");
       }
     }
-  } else {
-    throw std::runtime_error("document is neither object nor array");
+    const auto& phases = require(*prof, "phases", json::Value::Kind::kObject);
+    for (const char* k :
+         {"fault", "deliver", "inject", "route", "barrier", "telemetry"}) {
+      if (require(phases, k, json::Value::Kind::kNumber).as_number() < 0.0) {
+        throw std::runtime_error(std::string("negative profile phase \"") + k +
+                                 "\"");
+      }
+    }
   }
-  for (std::size_t i = 0; i < points->size(); ++i) {
-    check_point((*points)[i], i, schema);
-  }
-  return points->size();
+  for (std::size_t i = 0; i < points.size(); ++i) check_point(points[i], i);
+  return points.size();
 }
 
+// One current example of every block type: a UGAL point with the full
+// telemetry set, an availability point with both fault blocks, workload
+// points (one sampled into a time series), a closed-loop collective point,
+// and the top-level profile block.
 constexpr const char* kSelftestDoc = R"({
-"schema": 3,
+"schema": 8,
 "points": [
   {"sweep": "s", "case": "PS-IQ", "pattern": "uniform", "mode": "ugal",
    "load": 0.1, "stable": true, "deadlock": false, "avg_latency": 8.5,
@@ -321,14 +267,7 @@ constexpr const char* kSelftestDoc = R"({
                    "avg_router_flits": 3.5},
      "latency": {"packets": 512, "p50": 8, "p90": 14, "p99": 20,
                  "p999": 31},
-     "trace": {"sampled": 8, "delivered": 8, "period": 64}}}
-]
-})";
-
-// A schema-4 availability point carries both fault blocks.
-constexpr const char* kSelftestDocV4 = R"({
-"schema": 4,
-"points": [
+     "trace": {"sampled": 8, "delivered": 8, "period": 64}}},
   {"sweep": "avail", "case": "PS-IQ f=0.02", "pattern": "uniform",
    "mode": "min-adaptive", "load": 0.15, "stable": true, "deadlock": false,
    "avg_latency": 9.1, "p50_latency": 8, "p99_latency": 22,
@@ -339,16 +278,7 @@ constexpr const char* kSelftestDocV4 = R"({
    "telemetry": {
      "fault": {"events": 23, "link_down": 11, "router_down": 1,
                "repairs": 0, "dropped": 152, "retransmits": 100,
-               "lost": 12}}}
-]
-})";
-
-// A schema-5 workload point: "pattern" holds the workload name and the
-// "workload" block repeats it with an optional detail string; the stress
-// scenario additionally carries a fault block.
-constexpr const char* kSelftestDocV5 = R"({
-"schema": 5,
-"points": [
+               "lost": 12}}},
   {"sweep": "workloads", "case": "PS-IQ incast", "pattern": "incast",
    "mode": "min-adaptive", "load": 0.2, "stable": true, "deadlock": false,
    "avg_latency": 10.2, "p50_latency": 9, "p99_latency": 40,
@@ -356,24 +286,6 @@ constexpr const char* kSelftestDocV5 = R"({
    "cycles": 10000, "measured_packets": 800, "wall_seconds": 0.4,
    "workload": {"name": "incast",
                 "detail": "2 victims, burst 32/256 cycles, fraction 0.7"}},
-  {"sweep": "workloads", "case": "PS-IQ stress", "pattern": "stress",
-   "mode": "min-adaptive", "load": 0.1, "stable": true, "deadlock": false,
-   "avg_latency": 12.9, "p50_latency": 10, "p99_latency": 60,
-   "p999_latency": 90, "avg_hops": 2.6, "accepted_flit_rate": 0.099,
-   "cycles": 12000, "measured_packets": 700, "wall_seconds": 0.6,
-   "workload": {"name": "stress"},
-   "fault": {"events": 9, "dropped": 31, "retransmits": 28, "lost": 1,
-             "measured_lost": 0, "delivered_fraction": 0.9986}}
-]
-})";
-
-// A schema-6 sampled + profiled document: the point carries a "timeseries"
-// telemetry sub-block (half-open cycle intervals ending on interval
-// multiples except the final partial one) and the document a top-level
-// "profile" block.
-constexpr const char* kSelftestDocV6 = R"({
-"schema": 6,
-"points": [
   {"sweep": "drain", "case": "PS-IQ hotspot", "pattern": "hotspot",
    "mode": "min-adaptive", "load": 0.2, "stable": true, "deadlock": false,
    "avg_latency": 11.4, "p50_latency": 9, "p99_latency": 48,
@@ -386,30 +298,10 @@ constexpr const char* kSelftestDocV6 = R"({
         "offered_flits": 1600, "accepted_flits": 1440, "lat_packets": 360,
         "avg_latency": 9.5, "max_latency": 40, "buffered_flits": 96,
         "in_flight": 40, "dropped": 0, "retransmits": 0, "lost": 0},
-       {"begin": 1000, "end": 2000, "injected": 410, "ejected": 430,
-        "offered_flits": 1640, "accepted_flits": 1720, "lat_packets": 430,
-        "avg_latency": 12.1, "max_latency": 66, "buffered_flits": 48,
-        "in_flight": 20, "dropped": 0, "retransmits": 0, "lost": 0},
-       {"begin": 2000, "end": 2500, "injected": 100, "ejected": 120,
-        "offered_flits": 400, "accepted_flits": 480, "lat_packets": 120,
-        "avg_latency": 10.0, "max_latency": 38, "buffered_flits": 0,
-        "in_flight": 0, "dropped": 0, "retransmits": 0, "lost": 0}]}}}
-],
-"profile": {"points": 1, "cycles": 2500,
-  "phases": {"fault": 0.0, "deliver": 0.01, "inject": 0.002,
-             "route": 0.03, "barrier": 0.004, "telemetry": 0.001},
-  "driver_wait_seconds": 0.002, "shard_task_seconds": [0.02, 0.019],
-  "point_wall_seconds": 0.3, "chain_wall_seconds": 0.3,
-  "run_wall_seconds": 0.31,
-  "workers": 4, "chains": 2, "shards": 2, "worker_utilization": 0.48}
-})";
-
-// A schema-7 collective point: "pattern" carries the collective workload
-// name, the "workload" block repeats it and the "collective" block reports
-// the closed-loop schedule's outcome.
-constexpr const char* kSelftestDocV7 = R"({
-"schema": 7,
-"points": [
+       {"begin": 1000, "end": 2500, "injected": 510, "ejected": 550,
+        "offered_flits": 2040, "accepted_flits": 2200, "lat_packets": 550,
+        "avg_latency": 11.6, "max_latency": 66, "buffered_flits": 0,
+        "in_flight": 0, "dropped": 0, "retransmits": 0, "lost": 0}]}}},
   {"sweep": "collective-allreduce", "case": "PS-IQ edst/min",
    "pattern": "collective-edst", "mode": "min-adaptive", "load": 8,
    "stable": true, "deadlock": false, "avg_latency": 6.8,
@@ -422,18 +314,13 @@ constexpr const char* kSelftestDocV7 = R"({
                   "trees": 3, "chunks": 8, "packets_sent": 3952,
                   "expected_deliveries": 3952, "deliveries": 3952,
                   "reduce_done_cycle": 260, "completion_cycle": 502}}
-]
-})";
-
-// A schema-2 document (no percentile columns) must stay valid.
-constexpr const char* kSelftestDocV2 = R"({
-"schema": 2,
-"points": [
-  {"sweep": "s", "case": "PS-IQ", "pattern": "uniform", "mode": "min",
-   "load": 0.1, "stable": true, "deadlock": false, "avg_latency": 8.5,
-   "p99_latency": 20, "avg_hops": 2.4, "accepted_flit_rate": 0.1,
-   "cycles": 2000, "measured_packets": 512, "wall_seconds": 0.05}
-]
+],
+"profile": {"points": 5, "cycles": 22602,
+  "phases": {"fault": 0.0, "deliver": 0.01, "inject": 0.002,
+             "route": 0.03, "barrier": 0.004, "telemetry": 0.001},
+  "point_wall_seconds": 0.97, "chain_wall_seconds": 0.97,
+  "run_wall_seconds": 0.5, "workers": 4, "chains": 4,
+  "worker_utilization": 0.485}
 })";
 
 }  // namespace
@@ -446,12 +333,17 @@ int main(int argc, char** argv) {
   }
   try {
     if (std::string(argv[1]) == "--selftest") {
-      const std::size_t n = check_document(json::parse(kSelftestDoc)) +
-                            check_document(json::parse(kSelftestDocV2)) +
-                            check_document(json::parse(kSelftestDocV4)) +
-                            check_document(json::parse(kSelftestDocV5)) +
-                            check_document(json::parse(kSelftestDocV6)) +
-                            check_document(json::parse(kSelftestDocV7));
+      const std::size_t n = check_document(json::parse(kSelftestDoc));
+      // Older schemas and the schema-1 bare array are rejected outright.
+      for (const char* old : {R"({"schema": 7, "points": []})", "[]"}) {
+        bool rejected = false;
+        try {
+          check_document(json::parse(old));
+        } catch (const std::runtime_error&) {
+          rejected = true;
+        }
+        if (!rejected) throw std::runtime_error("accepted a stale schema");
+      }
       std::printf("selftest: %zu point(s) valid\n", n);
       return 0;
     }

@@ -1,4 +1,4 @@
-// Offline report over a schema-6+ POLARSTAR_JSON file: the time axis.
+// Offline report over a schema-8 POLARSTAR_JSON file: the time axis.
 //
 //   metrics_report <polarstar.json> [...]   print interval tables
 //   metrics_report --selftest               run against a built-in example
@@ -113,10 +113,10 @@ void print_profile(const json::Value& prof) {
     const char* key;
   };
   static const Row kRows[] = {{"fault/retransmit", "fault"},
-                              {"mailbox delivery", "deliver"},
+                              {"link delivery", "deliver"},
                               {"injection", "inject"},
                               {"switch allocation", "route"},
-                              {"barrier/merge", "barrier"},
+                              {"end-of-cycle", "barrier"},
                               {"telemetry", "telemetry"}};
   double engine = 0.0;
   for (const Row& r : kRows) engine += num(phases, r.key);
@@ -129,30 +129,23 @@ void print_profile(const json::Value& prof) {
     std::printf("%-18s %10.3f %6.1f%%\n", r.label, s,
                 engine > 0.0 ? 100.0 * s / engine : 0.0);
   }
-  std::printf("%-18s %10.3f\n", "driver wait", num(prof, "driver_wait_seconds"));
-  const auto& shard_task = require(prof, "shard_task_seconds").as_array();
-  if (!shard_task.empty()) {
-    std::printf("%-18s", "shard task s");
-    for (const auto& s : shard_task) std::printf(" %8.3f", s.as_number());
-    std::printf("\n");
-  }
   std::printf(
       "walls: point %.3fs, chain %.3fs, run %.3fs; "
-      "%llu worker(s) = %llu chain(s) x %llu shard(s), utilization %.1f%%\n",
+      "%llu worker(s), utilization %.1f%%\n",
       num(prof, "point_wall_seconds"), num(prof, "chain_wall_seconds"),
       num(prof, "run_wall_seconds"),
       static_cast<unsigned long long>(num(prof, "workers")),
-      static_cast<unsigned long long>(num(prof, "chains")),
-      static_cast<unsigned long long>(num(prof, "shards")),
       100.0 * num(prof, "worker_utilization"));
 }
 
 /// Returns the number of points with a timeseries block.
 std::size_t report(const std::string& label, const json::Value& doc) {
-  if (!doc.is_object()) {
-    throw std::runtime_error("document is not an object (schema >= 2 needed)");
-  }
+  if (!doc.is_object()) throw std::runtime_error("document is not an object");
   const double schema = num(doc, "schema");
+  if (schema != 8.0) {
+    throw std::runtime_error("unsupported schema " + std::to_string(schema) +
+                             " (want 8)");
+  }
   const auto& points = require(doc, "points").as_array();
   std::printf("%s: schema %g, %zu point(s)\n", label.c_str(), schema,
               points.size());
@@ -171,7 +164,7 @@ std::size_t report(const std::string& label, const json::Value& doc) {
 }
 
 constexpr const char* kSelftestDoc = R"({
-"schema": 6,
+"schema": 8,
 "points": [
   {"sweep": "drain", "case": "PS-IQ hotspot", "pattern": "hotspot",
    "mode": "min-adaptive", "load": 0.2,
@@ -193,10 +186,9 @@ constexpr const char* kSelftestDoc = R"({
 "profile": {"points": 1, "cycles": 2500,
   "phases": {"fault": 0.0, "deliver": 0.01, "inject": 0.002,
              "route": 0.03, "barrier": 0.004, "telemetry": 0.001},
-  "driver_wait_seconds": 0.002, "shard_task_seconds": [0.02, 0.019],
   "point_wall_seconds": 0.3, "chain_wall_seconds": 0.3,
-  "run_wall_seconds": 0.31,
-  "workers": 4, "chains": 2, "shards": 2, "worker_utilization": 0.48}
+  "run_wall_seconds": 0.31, "workers": 4, "chains": 4,
+  "worker_utilization": 0.24}
 })";
 
 }  // namespace
