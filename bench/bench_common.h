@@ -185,9 +185,8 @@ struct SweepSettings {
   std::uint64_t seed = 11;
 };
 
-/// SimParams for one suite column of a sweep (the historical run_point
-/// knobs: 8 VCs for UGAL, adaptive minpath pick iff the scheme has all
-/// minpaths available).
+/// SimParams for one suite column of a sweep: 8 VCs for UGAL, adaptive
+/// minpath pick iff the scheme has all minpaths available.
 inline sim::SimParams sweep_params(const NamedTopo& nt, sim::PathMode mode,
                                    const SweepSettings& s) {
   sim::SimParams prm;
@@ -213,22 +212,6 @@ inline runlab::SweepCase sweep_case(const NamedTopo& nt, sim::Pattern pattern,
   c.loads = s.loads;
   c.skip = pattern == sim::Pattern::kAdversarial && !nt.grouped;
   return c;
-}
-
-/// One (topology, pattern, load) point with the sweep knobs -- the serial
-/// primitive behind print_sweep, kept for one-off measurements. The
-/// optional collector observes the run (telemetry lands in
-/// SimResult::telemetry).
-inline sim::SimResult run_point(const NamedTopo& nt, sim::Pattern pattern,
-                                double load, sim::PathMode mode,
-                                const SweepSettings& s,
-                                telemetry::Collector* collector = nullptr) {
-  return runlab::run_point({.net = nt.net.get(),
-                            .pattern = pattern,
-                            .load = load,
-                            .params = sweep_params(nt, mode, s),
-                            .collector = collector,
-                            .trace = {}});
 }
 
 /// Latency-vs-load sweep printed as one row per load; stops a column after

@@ -1,15 +1,10 @@
 #include "fault/fault_routing.h"
 
-#include <limits>
 #include <stdexcept>
 
 namespace polarstar::fault {
 
 using graph::Vertex;
-
-namespace {
-constexpr std::uint16_t kFar = std::numeric_limits<std::uint16_t>::max();
-}
 
 FaultAwareRouting::FaultAwareRouting(
     std::shared_ptr<const topo::Topology> topo,
@@ -74,12 +69,6 @@ bool FaultAwareRouting::link_alive(Vertex u, Vertex v) const {
   return failed_links_.empty() || failed_links_.count(canon(u, v)) == 0;
 }
 
-std::uint32_t FaultAwareRouting::survivor_distance(Vertex src,
-                                                   Vertex dst) const {
-  const std::uint16_t d = dist_->at(src, dst);
-  return d == kFar ? graph::kUnreachable : d;
-}
-
 std::uint32_t FaultAwareRouting::distance(Vertex src, Vertex dst) const {
   if (!degraded_) return base_->distance(src, dst);
   if (router_dead_[src] != 0 || router_dead_[dst] != 0) {
@@ -94,28 +83,26 @@ void FaultAwareRouting::next_hops(Vertex cur, Vertex dst,
     base_->next_hops(cur, dst, out);
     return;
   }
+  // The base hops land in out[start, end); survivor_filter compacts the
+  // kept ones to out[start, w) in place (w never passes the one read).
+  struct Hops {
+    const FaultAwareRouting& self;
+    Vertex cur;
+    std::vector<Vertex>& out;
+    std::size_t start, w;
+    std::span<const Vertex> candidates() const {
+      return std::span<const Vertex>(out).subspan(start);
+    }
+    Vertex neighbor(Vertex h) const { return h; }
+    bool alive(Vertex h) const { return self.link_alive(cur, h); }
+    void keep(Vertex h) { out[w++] = h; }
+  };
   const std::size_t start = out.size();
   base_->next_hops(cur, dst, out);
-  // Keep base-scheme hops that are still minimal ON THE SURVIVOR GRAPH:
-  // link and router alive, and strictly closer to the destination. Mere
-  // reachability is not enough -- two routers whose pristine-minimal hops
-  // point through each other would bounce a packet between them forever,
-  // and a looping wormhole revisiting a router corrupts VC ownership.
-  // Every hop decreasing survivor distance keeps routing provably
-  // loop-free, the invariant the simulator's wormhole machinery needs.
-  const std::uint32_t d_cur = survivor_distance(cur, dst);
-  std::size_t w = start;
-  for (std::size_t i = start; i < out.size(); ++i) {
-    const Vertex h = out[i];
-    if (link_alive(cur, h) && survivor_distance(h, dst) < d_cur) {
-      out[w++] = h;
-    }
-  }
-  out.resize(w);
-  if (out.size() > start) return;
-  // The base scheme routes into a hole: serve survivor-minimal hops.
-  auto h = hops_->next_hops(cur, dst);
-  out.insert(out.end(), h.begin(), h.end());
+  Hops view{*this, cur, out, start, start};
+  const auto fallback = survivor_filter(cur, dst, view);
+  out.resize(view.w);
+  out.insert(out.end(), fallback.begin(), fallback.end());
 }
 
 std::size_t FaultAwareRouting::storage_entries() const {

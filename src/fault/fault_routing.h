@@ -13,7 +13,7 @@
 //    between each other, corrupting VC ownership). When that filter
 //    empties (the analytic case analysis would route into a hole), it
 //    falls back to the survivor graph's minimal next-hop table, rebuilt
-//    once per fault epoch.
+//    once per fault epoch. survivor_filter() is that decision's one body.
 //  - distance() answers from the survivor-graph distance matrix and
 //    returns graph::kUnreachable for partitioned pairs.
 //
@@ -71,15 +71,25 @@ class FaultAwareRouting final : public routing::MinimalRouting {
   bool link_alive(graph::Vertex u, graph::Vertex v) const;
   bool router_alive(graph::Vertex r) const { return router_dead_[r] == 0; }
 
-  /// The survivor table's minimal next hops for the current epoch (the
-  /// fallback branch of next_hops()). Valid only while degraded(). Exposed
-  /// so a caller that already holds the pristine base candidates -- the
-  /// simulator's flattened route-port tables -- can run the
-  /// strict-distance-decrease filter itself and only consult the table
-  /// when the filter empties, skipping the virtual base_->next_hops()
-  /// re-derivation per hop. Must stay in lockstep with next_hops().
-  std::span<const graph::Vertex> survivor_next_hops(graph::Vertex cur,
-                                                    graph::Vertex dst) const {
+  /// next_hops()' degraded branch, which the simulator runs over its route
+  /// ports (valid only while degraded()). Calls view.keep(c) for each of
+  /// the base scheme's view.candidates() whose link is alive(c) and whose
+  /// neighbor(c) is strictly closer to dst on the survivor graph. If none
+  /// is kept, returns the survivor table's hops instead (empty iff dst is
+  /// unreachable); otherwise returns empty.
+  template <typename View>
+  std::span<const graph::Vertex> survivor_filter(graph::Vertex cur,
+                                                 graph::Vertex dst,
+                                                 View& view) const {
+    const std::uint32_t d_cur = survivor_distance(cur, dst);
+    bool kept = false;
+    for (const auto c : view.candidates()) {
+      if (view.alive(c) && survivor_distance(view.neighbor(c), dst) < d_cur) {
+        view.keep(c);
+        kept = true;
+      }
+    }
+    if (kept) return {};
     return hops_->next_hops(cur, dst);
   }
 
@@ -87,7 +97,10 @@ class FaultAwareRouting final : public routing::MinimalRouting {
   static graph::Edge canon(graph::Vertex u, graph::Vertex v) {
     return u < v ? graph::Edge{u, v} : graph::Edge{v, u};
   }
-  std::uint32_t survivor_distance(graph::Vertex src, graph::Vertex dst) const;
+  std::uint32_t survivor_distance(graph::Vertex src, graph::Vertex dst) const {
+    const std::uint16_t d = dist_->at(src, dst);
+    return d == 0xFFFFu ? graph::kUnreachable : d;
+  }
 
   std::shared_ptr<const topo::Topology> topo_;
   std::shared_ptr<const routing::MinimalRouting> base_;

@@ -1,12 +1,15 @@
 // UGAL-L path selection (§9.3): at injection, compare the minimal path with
 // a handful of Valiant candidates (random intermediate routers) and pick the
 // smallest predicted latency, estimated from hop count and the local output
-// queue occupancy toward each path's first hop.
+// queue occupancy toward each path's first hop. ugal_select() is the one
+// body, templated over a view; UgalSelector is the reference view, and the
+// simulator passes one over its flattened tables and credit state.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <random>
+#include <limits>
+#include <vector>
 
 #include "routing/routing.h"
 
@@ -16,7 +19,7 @@ struct PathChoice {
   bool valiant = false;
   graph::Vertex intermediate = 0;  // meaningful when valiant
   std::uint32_t hops = 0;          // total hop estimate
-  // Decision context, filled by UgalSelector::select for telemetry: the
+  // Decision context, filled by ugal_select for telemetry: the
   // minimal-path baseline, the cost estimates compared, and how many
   // non-degenerate Valiant intermediates were actually evaluated.
   std::uint32_t min_hops = 0;
@@ -24,6 +27,53 @@ struct PathChoice {
   double min_cost = 0.0;
   double cost = 0.0;
 };
+
+/// Predicted latency: hops * (1 + queue at the least-occupied minimal
+/// first hop toward `toward`). `view` supplies distance(a, b), num_routers() and
+/// first_hop_occupancy(src, toward, f), calling f(double) per minimal
+/// first hop in candidate order.
+template <typename View>
+double ugal_cost(const View& view, graph::Vertex src, graph::Vertex toward,
+                 std::uint32_t hops) {
+  if (src == toward) return hops;
+  double q = std::numeric_limits<double>::infinity();
+  view.first_hop_occupancy(src, toward,
+                           [&q](double occ) { q = std::min(q, occ); });
+  if (q == std::numeric_limits<double>::infinity()) q = 0;  // no first hop
+  return static_cast<double>(hops) * (1.0 + q);
+}
+
+/// The minimal path against `candidates` random Valiant intermediates;
+/// the cheapest ugal_cost wins, ties keeping the earlier path.
+template <typename View, typename Rng>
+PathChoice ugal_select(const View& view, graph::Vertex src, graph::Vertex dst,
+                       std::uint32_t candidates, Rng& rng) {
+  const std::uint32_t h_min = view.distance(src, dst);
+  PathChoice best{false, 0, h_min};
+  const double min_cost = ugal_cost(view, src, dst, h_min);
+  double best_cost = min_cost;
+  std::uint32_t evaluated = 0;
+  const std::uint32_t n = view.num_routers();
+  for (std::uint32_t i = 0; i < candidates; ++i) {
+    const graph::Vertex mid = static_cast<graph::Vertex>(rng() % n);
+    if (mid == src || mid == dst) continue;
+    ++evaluated;
+    const std::uint32_t hops =
+        view.distance(src, mid) + view.distance(mid, dst);
+    const double c = ugal_cost(view, src, mid, hops);
+    if (c < best_cost) {
+      best_cost = c;
+      best.valiant = true;
+      best.intermediate = mid;
+      best.hops = hops;
+    }
+  }
+  best.min_hops = h_min;
+  best.candidates_evaluated = evaluated;
+  best.min_cost = min_cost;
+  best.cost = best_cost;
+  return best;
+}
 
 class UgalSelector {
  public:
@@ -38,51 +88,32 @@ class UgalSelector {
   template <typename Occupancy, typename Rng>
   PathChoice select(graph::Vertex src, graph::Vertex dst,
                     const Occupancy& occupancy, Rng& rng) const {
-    const std::uint32_t h_min = routing_.distance(src, dst);
-    PathChoice best{false, 0, h_min};
-    const double min_cost = cost(src, dst, h_min, occupancy);
-    double best_cost = min_cost;
-    std::uint32_t evaluated = 0;
-    for (std::uint32_t i = 0; i < candidates_; ++i) {
-      const graph::Vertex mid = static_cast<graph::Vertex>(rng() % n_);
-      if (mid == src || mid == dst) continue;
-      ++evaluated;
-      const std::uint32_t hops =
-          routing_.distance(src, mid) + routing_.distance(mid, dst);
-      const double c = cost(src, mid, hops, occupancy);
-      if (c < best_cost) {
-        best_cost = c;
-        best.valiant = true;
-        best.intermediate = mid;
-        best.hops = hops;
-      }
-    }
-    best.min_hops = h_min;
-    best.candidates_evaluated = evaluated;
-    best.min_cost = min_cost;
-    best.cost = best_cost;
-    return best;
+    return ugal_select(View<Occupancy>{routing_, n_, occupancy}, src, dst,
+                       candidates_, rng);
   }
 
  private:
   template <typename Occupancy>
-  double cost(graph::Vertex src, graph::Vertex toward, std::uint32_t hops,
-              const Occupancy& occupancy) const {
-    if (src == toward) return hops;
-    // First-hop queue estimate: min over minimal first hops (an adaptive
-    // router would pick the least-loaded one).
-    thread_local std::vector<graph::Vertex> hops_buf;
-    hops_buf.clear();
-    routing_.next_hops(src, toward, hops_buf);
-    double q = 0;
-    if (!hops_buf.empty()) {
-      q = occupancy(src, hops_buf.front());
-      for (std::size_t i = 1; i < hops_buf.size(); ++i) {
-        q = std::min(q, static_cast<double>(occupancy(src, hops_buf[i])));
+  struct View {
+    const MinimalRouting& routing;
+    std::uint32_t n;
+    const Occupancy& occupancy;
+
+    std::uint32_t distance(graph::Vertex a, graph::Vertex b) const {
+      return routing.distance(a, b);
+    }
+    std::uint32_t num_routers() const { return n; }
+    template <typename F>
+    void first_hop_occupancy(graph::Vertex src, graph::Vertex toward,
+                             F&& f) const {
+      thread_local std::vector<graph::Vertex> hops_buf;
+      hops_buf.clear();
+      routing.next_hops(src, toward, hops_buf);
+      for (graph::Vertex h : hops_buf) {
+        f(static_cast<double>(occupancy(src, h)));
       }
     }
-    return static_cast<double>(hops) * (1.0 + q);
-  }
+  };
 
   const MinimalRouting& routing_;
   std::uint32_t n_;

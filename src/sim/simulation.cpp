@@ -240,6 +240,45 @@ void Simulation::inj_pop_front(std::uint64_t ep) {
   --inj_count_[ep];
 }
 
+double Simulation::occupancy(Vertex r, Vertex next) const {
+  const std::uint32_t port = net_->port_toward(r, next);
+  const Vertex nbr = net_->neighbor_at(r, port);
+  const std::uint32_t rev = net_->reverse_port(r, port);
+  double occupied = 0;
+  for (std::uint32_t vc = 0; vc < prm_.num_vcs; ++vc) {
+    const std::size_t b = buffer_index(nbr, rev, vc);
+    occupied += prm_.vc_buffer_flits - credits_[b];
+  }
+  return occupied;  // absolute flits: the classic UGAL-L queue estimate
+}
+
+double Simulation::occupancy_by_port(std::size_t link) const {
+  // Every term is a small integer, so an integer sum converted once equals
+  // occupancy()'s double accumulation exactly (and vectorizes).
+  const std::uint16_t* credits = &credits_[recv_buf_base_[link]];
+  std::uint32_t free_slots = 0;
+  for (std::uint32_t vc = 0; vc < prm_.num_vcs; ++vc) free_slots += credits[vc];
+  return static_cast<double>(prm_.num_vcs * prm_.vc_buffer_flits - free_slots);
+}
+
+struct Simulation::UgalView {
+  const Simulation& sim;
+
+  std::uint32_t distance(Vertex a, Vertex b) const {
+    return sim.net_->distance(a, b);
+  }
+  std::uint32_t num_routers() const { return sim.net_->num_routers(); }
+  // The Network flattened each route-port list in MinimalRouting::next_hops
+  // order, so candidates arrive in the reference view's order.
+  template <typename F>
+  void first_hop_occupancy(Vertex src, Vertex toward, F&& f) const {
+    const std::size_t pb = sim.net_->port_base(src);
+    for (std::uint16_t p : sim.net_->route_ports(src, toward)) {
+      f(sim.occupancy_by_port(pb + p));
+    }
+  }
+};
+
 std::uint32_t Simulation::new_packet(std::uint64_t src_ep, std::uint64_t dst_ep,
                                      std::uint64_t tag) {
   std::uint32_t idx;
@@ -270,7 +309,8 @@ std::uint32_t Simulation::new_packet(std::uint64_t src_ep, std::uint64_t dst_ep,
       auto occ = [this](Vertex r, Vertex next) { return occupancy(r, next); };
       choice = ugal_.select(pk.src_router, pk.dst_router, occ, rng_);
     } else {
-      choice = ugal_select_fast(pk.src_router, pk.dst_router);
+      choice = routing::ugal_select(UgalView{*this}, pk.src_router,
+                                    pk.dst_router, prm_.ugal_candidates, rng_);
     }
     pk.valiant = choice.valiant;
     pk.intermediate = choice.intermediate;
@@ -313,74 +353,6 @@ void Simulation::enqueue_packet(std::uint64_t src_ep, std::uint64_t dst_ep,
   inj_push(src_ep, idx);
 }
 
-double Simulation::occupancy(Vertex r, Vertex next) const {
-  const std::uint32_t port = net_->port_toward(r, next);
-  const Vertex nbr = net_->neighbor_at(r, port);
-  const std::uint32_t rev = net_->reverse_port(r, port);
-  double occupied = 0;
-  for (std::uint32_t vc = 0; vc < prm_.num_vcs; ++vc) {
-    const std::size_t b = buffer_index(nbr, rev, vc);
-    occupied += prm_.vc_buffer_flits - credits_[b];
-  }
-  return occupied;  // absolute flits: the classic UGAL-L queue estimate
-}
-
-double Simulation::occupancy_by_port(std::size_t link) const {
-  // Every term is a small integer, so an integer sum converted once equals
-  // occupancy()'s double accumulation exactly (and vectorizes).
-  const std::uint16_t* credits = &credits_[recv_buf_base_[link]];
-  std::uint32_t free_slots = 0;
-  for (std::uint32_t vc = 0; vc < prm_.num_vcs; ++vc) free_slots += credits[vc];
-  return static_cast<double>(prm_.num_vcs * prm_.vc_buffer_flits - free_slots);
-}
-
-double Simulation::path_cost_fast(Vertex src, Vertex toward,
-                                  std::uint32_t hops) const {
-  if (src == toward) return hops;
-  // First-hop queue estimate: min over minimal first hops, in the same
-  // candidate order as MinimalRouting::next_hops (the Network flattened
-  // them in that order) and the same double accumulation as
-  // UgalSelector::cost.
-  const auto ports = net_->route_ports(src, toward);
-  const std::size_t pb = net_->port_base(src);
-  double q = 0;
-  if (!ports.empty()) {
-    q = occupancy_by_port(pb + ports[0]);
-    for (std::size_t i = 1; i < ports.size(); ++i) {
-      q = std::min(q, occupancy_by_port(pb + ports[i]));
-    }
-  }
-  return static_cast<double>(hops) * (1.0 + q);
-}
-
-routing::PathChoice Simulation::ugal_select_fast(Vertex src, Vertex dst) {
-  const std::uint32_t h_min = net_->distance(src, dst);
-  routing::PathChoice best{false, 0, h_min};
-  const double min_cost = path_cost_fast(src, dst, h_min);
-  double best_cost = min_cost;
-  std::uint32_t evaluated = 0;
-  const std::uint32_t n = net_->num_routers();
-  for (std::uint32_t i = 0; i < prm_.ugal_candidates; ++i) {
-    const Vertex mid = static_cast<Vertex>(rng_() % n);
-    if (mid == src || mid == dst) continue;
-    ++evaluated;
-    const std::uint32_t hops =
-        net_->distance(src, mid) + net_->distance(mid, dst);
-    const double c = path_cost_fast(src, mid, hops);
-    if (c < best_cost) {
-      best_cost = c;
-      best.valiant = true;
-      best.intermediate = mid;
-      best.hops = hops;
-    }
-  }
-  best.min_hops = h_min;
-  best.candidates_evaluated = evaluated;
-  best.min_cost = min_cost;
-  best.cost = best_cost;
-  return best;
-}
-
 bool Simulation::compute_route(std::uint32_t pkt_idx, Vertex r,
                                std::uint16_t& out, std::uint8_t& ovc) {
   PacketRecord& pk = packets_[pkt_idx];
@@ -406,41 +378,38 @@ bool Simulation::compute_route(std::uint32_t pkt_idx, Vertex r,
   std::span<const std::uint16_t> ports;
   if (faults_active_) {
     if (pk.hops >= fault_hop_limit_) return false;  // walked too far: drop
+    // One decision, two views: FaultAwareRouting::next_hops over the
+    // virtual base scheme, or survivor_filter over the flattened pristine
+    // ports (same order) and the per-epoch link_down_ mask. Either way the
+    // vertices left in `hops` are mapped to ports here.
+    fault_ports_.clear();
+    std::span<const Vertex> hops;
     if (prm_.reference_impl) {
       fault_hops_.clear();
       fault_routing_->next_hops(r, target, fault_hops_);
-      if (fault_hops_.empty()) return false;  // target unreachable
-      fault_ports_.clear();
-      for (Vertex h : fault_hops_) {
-        fault_ports_.push_back(
-            static_cast<std::uint16_t>(net_->port_toward(r, h)));
-      }
+      hops = fault_hops_;
     } else {
-      // Fast path: run FaultAwareRouting::next_hops' strict-distance-
-      // decrease filter directly over the flattened pristine candidates
-      // (same base scheme, same order), keeping ports instead of mapping
-      // vertex -> port per hop. link_down_ is the per-epoch link_alive
-      // mask; distance() is the survivor distance under degradation.
-      // Bit-identical to the reference branch -- `ctest -L perf` diffs it.
-      const std::uint32_t d_cur = fault_routing_->distance(r, target);
-      const std::size_t pb = net_->port_base(r);
-      fault_ports_.clear();
-      for (std::uint16_t p : net_->route_ports(r, target)) {
-        if (link_down_[pb + p] != 0) continue;
-        const Vertex h = net_->link_neighbor(pb + p);
-        if (fault_routing_->distance(h, target) < d_cur) {
-          fault_ports_.push_back(p);
+      struct Ports {
+        Simulation& sim;
+        std::span<const std::uint16_t> route;
+        std::size_t pb;
+        std::span<const std::uint16_t> candidates() const { return route; }
+        Vertex neighbor(std::uint16_t p) const {
+          return sim.net_->link_neighbor(pb + p);
         }
-      }
-      if (fault_ports_.empty()) {
-        // Base scheme routes into a hole: survivor-minimal next hops.
-        for (Vertex h : fault_routing_->survivor_next_hops(r, target)) {
-          fault_ports_.push_back(
-              static_cast<std::uint16_t>(net_->port_toward(r, h)));
+        bool alive(std::uint16_t p) const {
+          return sim.link_down_[pb + p] == 0;
         }
-        if (fault_ports_.empty()) return false;  // unreachable
-      }
+        void keep(std::uint16_t p) { sim.fault_ports_.push_back(p); }
+      };
+      Ports view{*this, net_->route_ports(r, target), net_->port_base(r)};
+      hops = fault_routing_->survivor_filter(r, target, view);
     }
+    for (Vertex h : hops) {
+      fault_ports_.push_back(
+          static_cast<std::uint16_t>(net_->port_toward(r, h)));
+    }
+    if (fault_ports_.empty()) return false;  // target unreachable
     ports = fault_ports_;
   } else {
     ports = net_->route_ports(r, target);

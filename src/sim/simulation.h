@@ -81,12 +81,13 @@ struct SimParams {
   /// diameter; packets over budget are dropped and retransmitted). Also
   /// clamps the VC index. 0 = num_vcs * 4.
   std::uint32_t fault_hop_limit = 0;
-  /// Testing escape hatch: route every per-hop/per-packet query through the
-  /// generic reference implementations (routing::UgalSelector over the
-  /// virtual MinimalRouting, FaultAwareRouting::next_hops, the fully gated
-  /// step loop) instead of the flattened fast paths resolved at
-  /// construction. Outputs are bit-identical either way -- `ctest -L perf`
-  /// asserts it. Slow; never set outside tests.
+  /// Testing escape hatch: run the same UGAL-L and fault-filter bodies over
+  /// the reference data views (routing::UgalSelector over the virtual
+  /// MinimalRouting, FaultAwareRouting::next_hops over link_alive) instead
+  /// of the views over the flattened tables resolved at construction, and
+  /// step with the fully gated full-scan loop. Outputs are bit-identical
+  /// either way -- `ctest -L perf` asserts it. Slow; never set outside
+  /// tests.
   bool reference_impl = false;
   /// Engine self-profiler: attribute wall-clock time to the optimized step
   /// loop's phases (faults, link delivery, injection, switch allocation,
@@ -249,10 +250,6 @@ class Simulation {
   std::mt19937_64& rng() { return rng_; }
   std::uint64_t outstanding_packets() const { return live_packets_; }
 
-  /// Occupied flits in the downstream input buffers toward `next`
-  /// (the UGAL-L local queue estimate).
-  double occupancy(graph::Vertex r, graph::Vertex next) const;
-
  private:
   struct Flit {
     std::uint32_t pkt;
@@ -295,16 +292,14 @@ class Simulation {
   void inj_push(std::uint64_t ep, std::uint32_t pkt_idx);
   void inj_pop_front(std::uint64_t ep);
 
-  // UGAL-L fast path: bit-identical replica of routing::UgalSelector's
-  // select()/cost() (same RNG consumption, same double accumulation order)
-  // over the Network's flattened distance/route-port tables and this
-  // simulation's credit state. `ctest -L perf` diffs it against the
-  // reference selector; any edit here must keep routing/ugal.h in lockstep.
-  routing::PathChoice ugal_select_fast(graph::Vertex src, graph::Vertex dst);
-  double path_cost_fast(graph::Vertex src, graph::Vertex toward,
-                        std::uint32_t hops) const;
+  // Occupied flits in the downstream input buffers toward `next` (the
+  // UGAL-L local queue estimate), as the reference UgalSelector asks for it.
+  double occupancy(graph::Vertex r, graph::Vertex next) const;
   // occupancy() resolved to a directed link index (= port_base(r) + port).
   double occupancy_by_port(std::size_t link) const;
+  // routing::ugal_select's view over the Network's flattened distance and
+  // route-port tables and occupancy_by_port (defined in simulation.cpp).
+  struct UgalView;
 
   // One switch-allocation request: req_stride_ slots per output port
   // (enough for every input of the widest router), with per-output counts

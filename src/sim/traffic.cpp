@@ -123,17 +123,12 @@ void PatternSource::prepare_adversarial(Simulation& sim) {
     // arbitrary equal-distance shift that chokes on intra-supernode links.
     std::size_t best_shift = 0;
     std::uint64_t best_total = 0, best_div = 0;
-    std::vector<graph::Vertex> hops;
     for (std::size_t s = 0; s < m; ++s) {
       std::uint64_t total = 0, diversity = 0;
       for (std::size_t i = 0; i < src.size(); ++i) {
         const Vertex from = src[i], to = dst[(i + s) % m];
         total += sim.network().distance(from, to);
-        if (from != to) {
-          hops.clear();
-          sim.network().routing().next_hops(from, to, hops);
-          diversity += hops.size();
-        }
+        diversity += sim.network().route_ports(from, to).size();
       }
       if (total > best_total ||
           (total == best_total && diversity > best_div)) {

@@ -189,6 +189,32 @@ TEST(FaultAwareRouting, MasksDeadLinksAndRepairs) {
   EXPECT_EQ(far->distance(0, 1), 1u);
 }
 
+TEST(FaultAwareRouting, KeepsOnlyHopsStrictlyCloserOnSurvivorGraph) {
+  // A 4-cycle 0-1-2-3 with link (1,2) down. From 0 toward 2 the base
+  // scheme offers hops 1 and 3. Hop 1's link is alive and 1 still reaches
+  // 2, but only the long way (survivor distance 3 vs 2 from 0): it is not
+  // strictly closer, so only 3 survives the filter.
+  topo::Topology t;
+  t.g = g::Graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
+  t.conc.assign(4, 1);
+  t.finalize();
+  auto tp = std::make_shared<const topo::Topology>(t);
+  auto far = fault::make_fault_aware_routing(
+      tp, routing::make_table_routing(tp->g));
+  std::vector<g::Vertex> hops;
+  far->next_hops(0, 2, hops);
+  ASSERT_EQ(hops.size(), 2u);  // pristine: both ways round are minimal
+
+  far->apply({0, fault::EventKind::kLinkDown, 1, 2});
+  far->commit();
+  ASSERT_TRUE(far->link_alive(0, 1));
+  EXPECT_EQ(far->distance(1, 2), 3u);
+  EXPECT_EQ(far->distance(0, 2), 2u);
+  hops.clear();
+  far->next_hops(0, 2, hops);
+  EXPECT_EQ(hops, std::vector<g::Vertex>{3});
+}
+
 TEST(FaultAwareRouting, RouterDownKillsIncidentLinksAndPartitions) {
   // A path 0-1-2: killing router 1 partitions 0 from 2.
   topo::Topology t;

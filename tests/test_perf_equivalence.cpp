@@ -1,10 +1,12 @@
 // Differential tests for the simulator hot-loop optimizations (`ctest -L
 // perf`): the flattened routing/distance tables, the pooled injection
-// queues, the VC occupancy masks + busy-input/busy-router bitsets, and the
-// UGAL / fault-filter fast paths must be *bit-identical* to the generic
-// reference implementations. SimParams::reference_impl selects the preserved
-// pre-optimization code paths (routing::UgalSelector, virtual
-// FaultAwareRouting::next_hops, the full-scan step loop); every test here
+// queues and the VC occupancy masks + busy-input/busy-router bitsets must
+// be *bit-identical* to the generic reference implementations, and the one
+// UGAL-L body and the one fault-filter body must decide identically over
+// the engine's data views and the reference views. SimParams::reference_impl
+// selects the reference side (routing::UgalSelector and
+// FaultAwareRouting::next_hops over the virtual MinimalRouting, the
+// full-scan step loop); every test here
 // runs the same workload both ways and diffs the entire SimResult, the
 // telemetry Summary, or the exported trace bytes. paranoid_checks is on
 // wherever affordable so the occupancy-index invariants are validated
@@ -227,8 +229,9 @@ TEST(PerfEquivalence, WideRoutersSpanSeveralWorkWords) {
   EXPECT_GT(fast.packets_delivered, 0u);
 }
 
-// UGAL consumes RNG draws and compares double-valued path costs; the fast
-// selector must replicate routing::UgalSelector decision-for-decision.
+// UGAL consumes RNG draws and compares double-valued path costs;
+// routing::ugal_select must decide identically over the engine's view and
+// routing::UgalSelector's.
 TEST(PerfEquivalence, UgalSelection) {
   const auto net = polarstar_net({4, 4, core::SupernodeKind::kPaley, 3});
   auto prm = base_params();
@@ -240,8 +243,8 @@ TEST(PerfEquivalence, UgalSelection) {
   EXPECT_GT(fast.packets_delivered, 0u);
 }
 
-// Live faults: the flattened strict-distance-decrease filter and the
-// survivor-table fallback must match FaultAwareRouting::next_hops, and the
+// Live faults: FaultAwareRouting::survivor_filter over the engine's route
+// ports and link_down_ mask must match FaultAwareRouting::next_hops, and the
 // purge/rebuild of the occupancy index must leave identical state.
 TEST(PerfEquivalence, FaultedRun) {
   const auto net = polarstar_net({5, 3, core::SupernodeKind::kInductiveQuad, 2});

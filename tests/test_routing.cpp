@@ -139,6 +139,11 @@ TEST(Ugal, PicksMinimalWhenUncongested) {
       auto c = sel.select(s, d, zero, rng);
       EXPECT_FALSE(c.valiant);
       EXPECT_EQ(c.hops, r.distance(s, d));
+      // Decision context: with no queues every cost is the hop count.
+      EXPECT_EQ(c.min_hops, r.distance(s, d));
+      EXPECT_EQ(c.min_cost, static_cast<double>(c.min_hops));
+      EXPECT_EQ(c.cost, c.min_cost);
+      EXPECT_LE(c.candidates_evaluated, 4u);
     }
   }
 }
@@ -162,7 +167,11 @@ TEST(Ugal, DivertsWhenMinimalPathCongested) {
   };
   int diverted = 0;
   for (int trial = 0; trial < 20; ++trial) {
-    if (sel.select(src, dst, occ, rng).valiant) ++diverted;
+    const auto c = sel.select(src, dst, occ, rng);
+    if (c.valiant) ++diverted;
+    EXPECT_LE(c.candidates_evaluated, 8u);
+    EXPECT_EQ(c.min_hops, r.distance(src, dst));
+    EXPECT_LE(c.cost, c.min_cost);
   }
   EXPECT_GT(diverted, 10);
 }
@@ -176,6 +185,8 @@ TEST(Ugal, ValiantHopsAreSumOfLegs) {
   // With uniform congestion the shortest total path still wins; hops field
   // must be consistent either way.
   auto c = sel.select(0, t.num_routers() - 1, heavy, rng);
+  EXPECT_LE(c.candidates_evaluated, 4u);
+  EXPECT_EQ(c.min_hops, r.distance(0, t.num_routers() - 1));
   if (c.valiant) {
     EXPECT_EQ(c.hops,
               r.distance(0, c.intermediate) +
