@@ -20,17 +20,33 @@
 
 namespace {
 
+// Every comma-separated token must be wholly a number in [0, 1]; anything
+// else prints usage and exits with status 2.
 std::vector<double> fault_fractions() {
   std::vector<double> fractions = {0.0, 0.02, 0.05, 0.10};
   const char* env = std::getenv("POLARSTAR_FAULTS");
   if (env == nullptr || env[0] == '\0') return fractions;
   fractions.clear();
-  std::string list(env);
+  const std::string list(env);
   std::size_t pos = 0;
-  while (pos < list.size()) {
+  while (pos <= list.size()) {
     std::size_t next = list.find(',', pos);
     if (next == std::string::npos) next = list.size();
-    fractions.push_back(std::stod(list.substr(pos, next - pos)));
+    const std::string token = list.substr(pos, next - pos);
+    char* end = nullptr;
+    const double frac = std::strtod(token.c_str(), &end);
+    if (token.empty() ||
+        token.find_first_not_of("0123456789.eE+-") != std::string::npos ||
+        end != token.c_str() + token.size() ||
+        !(frac >= 0.0 && frac <= 1.0)) {
+      std::fprintf(stderr,
+                   "bench_ext_availability: bad POLARSTAR_FAULTS token '%s'\n"
+                   "usage: POLARSTAR_FAULTS=f1,f2,... with each f a link "
+                   "failure fraction in [0, 1]\n",
+                   token.c_str());
+      std::exit(2);
+    }
+    fractions.push_back(frac);
     pos = next + 1;
   }
   return fractions;
@@ -40,8 +56,8 @@ std::vector<double> fault_fractions() {
 
 int main() {
   using namespace polarstar;
-  auto base = bench::simulation_suite();
   const auto fractions = fault_fractions();
+  auto base = bench::simulation_suite();
 
   sim::SimParams prm;
   prm.warmup_cycles = 400;

@@ -1,10 +1,13 @@
 // Microbenchmarks (google-benchmark) for the library's hot primitives:
 // field arithmetic, topology construction, BFS sweeps, analytic routing
-// decisions, partitioner, and simulator cycle throughput.
+// decisions, partitioner, simulator cycle throughput, and the fault layer's
+// per-epoch survivor-table update.
 #include <benchmark/benchmark.h>
 
 #include "core/polarstar.h"
 #include "core/polarstar_routing.h"
+#include "fault/degrade.h"
+#include "fault/fault_routing.h"
 #include "gf/gf.h"
 #include "graph/algorithms.h"
 #include "partition/partitioner.h"
@@ -122,5 +125,32 @@ static void BM_InjectionSkipAhead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kEndpoints);
 }
 BENCHMARK(BM_InjectionSkipAhead)->Arg(80)->Arg(13);
+
+// One link-down apply() + commit() on the full Table 3 PS-IQ (1064
+// routers) after a first degraded epoch: the incremental survivor-distance
+// update. The link is repaired again untimed, so every iteration starts
+// from the same one-link-down state.
+static void BM_FaultCommit(benchmark::State& state) {
+  auto ps = std::make_shared<const core::PolarStar>(core::PolarStar::build(
+      {11, 3, core::SupernodeKind::kInductiveQuad, 5}));
+  const auto topo = core::shared_topology(ps);
+  fault::FaultAwareRouting far(topo, routing::make_polarstar_routing(ps));
+  const auto order = fault::shuffled_edges(topo->g, 1);
+  far.apply({0, fault::EventKind::kLinkDown, order[0].first, order[0].second});
+  far.commit();
+  std::size_t i = 1;
+  for (auto _ : state) {
+    const auto [u, v] = order[i];
+    far.apply({0, fault::EventKind::kLinkDown, u, v});
+    far.commit();
+    state.PauseTiming();
+    far.apply({0, fault::EventKind::kLinkUp, u, v});
+    far.commit();
+    i = i + 1 < order.size() ? i + 1 : 1;
+    state.ResumeTiming();
+  }
+  benchmark::DoNotOptimize(far.epoch());
+}
+BENCHMARK(BM_FaultCommit)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

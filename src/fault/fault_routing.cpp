@@ -1,5 +1,6 @@
 #include "fault/fault_routing.h"
 
+#include <span>
 #include <stdexcept>
 
 namespace polarstar::fault {
@@ -14,9 +15,11 @@ FaultAwareRouting::FaultAwareRouting(
     throw std::invalid_argument("FaultAwareRouting: null topology or routing");
   }
   router_dead_.assign(topo_->num_routers(), 0);
+  link_up_.assign(topo_->g.num_edges(), 1);
 }
 
 void FaultAwareRouting::apply(const FaultEvent& ev) {
+  check_event(*topo_, ev);
   switch (ev.kind) {
     case EventKind::kLinkDown:
       failed_links_.insert(canon(ev.a, ev.b));
@@ -45,23 +48,33 @@ void FaultAwareRouting::commit() {
   dirty_ = false;
   ++epoch_;
   degraded_ = !failed_links_.empty() || dead_routers_ > 0;
-  if (!degraded_) {
-    dist_.reset();
-    hops_.reset();
-    return;
+  std::vector<graph::Edge> alive, removed, added;
+  alive.reserve(link_up_.size());
+  const graph::Graph& g = topo_->g;
+  std::size_t i = 0;
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    for (const Vertex v : g.neighbors(u)) {
+      if (v < u) continue;  // each link once, in edge_list() order
+      const std::uint8_t up = link_alive(u, v) ? 1 : 0;
+      if (up != link_up_[i]) (up ? added : removed).push_back({u, v});
+      link_up_[i++] = up;
+      if (up) alive.push_back({u, v});
+    }
   }
-  std::vector<graph::Edge> alive;
-  alive.reserve(topo_->g.num_edges());
-  for (const graph::Edge& e : topo_->g.edge_list()) {
-    if (link_alive(e.first, e.second)) alive.push_back(e);
+  survivor_ = graph::Graph::from_edges(topo_->num_routers(), alive);
+  // Single-threaded: Simulations advance epochs from runlab worker threads,
+  // and nested pools would oversubscribe without speeding up the few rows
+  // a batch breaks.
+  dist_.update(survivor_, removed, added, 1);
+}
+
+void FaultAwareRouting::survivor_hops(Vertex cur, Vertex dst,
+                                      std::vector<Vertex>& out) const {
+  const std::uint32_t d = dist_.distance(cur, dst);
+  if (d == 0 || d == graph::kUnreachable) return;
+  for (const Vertex w : survivor_.neighbors(cur)) {
+    if (dist_.distance(w, dst) == d - 1) out.push_back(w);
   }
-  const graph::Graph surv =
-      graph::Graph::from_edges(topo_->num_routers(), alive);
-  // Single-threaded rebuild: Simulations advance epochs from runlab worker
-  // threads, and nested pools would oversubscribe without speeding up the
-  // small survivor graphs involved.
-  dist_ = std::make_unique<graph::DistanceMatrix>(surv, 1);
-  hops_ = std::make_unique<graph::MinimalNextHops>(surv, *dist_);
 }
 
 bool FaultAwareRouting::link_alive(Vertex u, Vertex v) const {
@@ -74,7 +87,7 @@ std::uint32_t FaultAwareRouting::distance(Vertex src, Vertex dst) const {
   if (router_dead_[src] != 0 || router_dead_[dst] != 0) {
     return graph::kUnreachable;
   }
-  return survivor_distance(src, dst);
+  return dist_.distance(src, dst);
 }
 
 void FaultAwareRouting::next_hops(Vertex cur, Vertex dst,
@@ -84,14 +97,15 @@ void FaultAwareRouting::next_hops(Vertex cur, Vertex dst,
     return;
   }
   // The base hops land in out[start, end); survivor_filter compacts the
-  // kept ones to out[start, w) in place (w never passes the one read).
+  // kept ones to out[start, w) in place (w never passes the one read) or
+  // appends the fallback past end. Erasing [w, end) leaves either.
   struct Hops {
     const FaultAwareRouting& self;
     Vertex cur;
     std::vector<Vertex>& out;
-    std::size_t start, w;
+    std::size_t start, end, w;
     std::span<const Vertex> candidates() const {
-      return std::span<const Vertex>(out).subspan(start);
+      return std::span<const Vertex>(out).subspan(start, end - start);
     }
     Vertex neighbor(Vertex h) const { return h; }
     bool alive(Vertex h) const { return self.link_alive(cur, h); }
@@ -99,15 +113,25 @@ void FaultAwareRouting::next_hops(Vertex cur, Vertex dst,
   };
   const std::size_t start = out.size();
   base_->next_hops(cur, dst, out);
-  Hops view{*this, cur, out, start, start};
-  const auto fallback = survivor_filter(cur, dst, view);
-  out.resize(view.w);
-  out.insert(out.end(), fallback.begin(), fallback.end());
+  Hops view{*this, cur, out, start, out.size(), start};
+  survivor_filter(cur, dst, view, out);
+  out.erase(out.begin() + static_cast<std::ptrdiff_t>(view.w),
+            out.begin() + static_cast<std::ptrdiff_t>(view.end));
 }
 
 std::size_t FaultAwareRouting::storage_entries() const {
-  return base_->storage_entries() +
-         (degraded_ ? hops_->storage_entries() : 0);
+  std::size_t entries = base_->storage_entries();
+  if (!degraded_) return entries;
+  // The fallback table is never materialised: count what it would store.
+  std::vector<Vertex> hops;
+  for (Vertex cur = 0; cur < survivor_.num_vertices(); ++cur) {
+    for (Vertex dst = 0; dst < survivor_.num_vertices(); ++dst) {
+      hops.clear();
+      survivor_hops(cur, dst, hops);
+      entries += hops.size();
+    }
+  }
+  return entries;
 }
 
 std::string FaultAwareRouting::name() const {

@@ -12,10 +12,16 @@
 //    reachability-only filter would let two routers bounce a wormhole
 //    between each other, corrupting VC ownership). When that filter
 //    empties (the analytic case analysis would route into a hole), it
-//    falls back to the survivor graph's minimal next-hop table, rebuilt
-//    once per fault epoch. survivor_filter() is that decision's one body.
+//    falls back to the survivor graph's minimal next hops, derived on
+//    demand from the survivor distances. survivor_filter() is that
+//    decision's one body.
 //  - distance() answers from the survivor-graph distance matrix and
 //    returns graph::kUnreachable for partitioned pairs.
+//
+// The survivor distance matrix is kept up to date incrementally: each
+// commit() diffs per-link liveness against the previous epoch and hands the
+// diff to graph::DistanceMatrix::update, which re-runs BFS only for the
+// source rows the batch breaks (all rows on the first commit).
 //
 // Concurrency contract: queries (distance/next_hops/...) are const and
 // thread-safe *between* epoch mutations, matching MinimalRouting's
@@ -28,7 +34,6 @@
 #include <cstdint>
 #include <memory>
 #include <set>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -55,10 +60,13 @@ class FaultAwareRouting final : public routing::MinimalRouting {
 
   // Epoch mutation (exclusive access required).
   /// Folds one schedule event into the fault masks; cheap. Queries between
-  /// apply() and the next commit() still see the previous epoch.
+  /// apply() and the next commit() still see the previous epoch. Throws
+  /// std::invalid_argument, before changing any state, for an event that
+  /// does not fit the topology (fault::check_event).
   void apply(const FaultEvent& ev);
-  /// Rebuilds the survivor table if any event was applied since the last
-  /// commit; bumps epoch(). O(n * m) BFS sweep -- once per fault batch.
+  /// If any event was applied since the last commit: updates the survivor
+  /// distances for the links whose liveness changed and bumps epoch(). Costs
+  /// one BFS per source row the batch breaks, plus O(m) for the diff.
   void commit();
 
   /// True iff any link or router is currently failed (post-commit). When
@@ -75,32 +83,31 @@ class FaultAwareRouting final : public routing::MinimalRouting {
   /// ports (valid only while degraded()). Calls view.keep(c) for each of
   /// the base scheme's view.candidates() whose link is alive(c) and whose
   /// neighbor(c) is strictly closer to dst on the survivor graph. If none
-  /// is kept, returns the survivor table's hops instead (empty iff dst is
-  /// unreachable); otherwise returns empty.
+  /// is kept, appends the survivor graph's minimal next hops from cur to
+  /// the caller's `fallback` instead (none iff dst is unreachable).
   template <typename View>
-  std::span<const graph::Vertex> survivor_filter(graph::Vertex cur,
-                                                 graph::Vertex dst,
-                                                 View& view) const {
-    const std::uint32_t d_cur = survivor_distance(cur, dst);
+  void survivor_filter(graph::Vertex cur, graph::Vertex dst, View& view,
+                       std::vector<graph::Vertex>& fallback) const {
+    const std::uint32_t d_cur = dist_.distance(cur, dst);
     bool kept = false;
     for (const auto c : view.candidates()) {
-      if (view.alive(c) && survivor_distance(view.neighbor(c), dst) < d_cur) {
+      if (view.alive(c) && dist_.distance(view.neighbor(c), dst) < d_cur) {
         view.keep(c);
         kept = true;
       }
     }
-    if (kept) return {};
-    return hops_->next_hops(cur, dst);
+    if (!kept) survivor_hops(cur, dst, fallback);
   }
 
  private:
   static graph::Edge canon(graph::Vertex u, graph::Vertex v) {
     return u < v ? graph::Edge{u, v} : graph::Edge{v, u};
   }
-  std::uint32_t survivor_distance(graph::Vertex src, graph::Vertex dst) const {
-    const std::uint16_t d = dist_->at(src, dst);
-    return d == 0xFFFFu ? graph::kUnreachable : d;
-  }
+  /// Appends every survivor neighbour of cur one hop closer to dst, in
+  /// sorted order -- graph::MinimalNextHops of the survivor graph, on
+  /// demand. Out of line: it is survivor_filter's rare fallback.
+  void survivor_hops(graph::Vertex cur, graph::Vertex dst,
+                     std::vector<graph::Vertex>& out) const;
 
   std::shared_ptr<const topo::Topology> topo_;
   std::shared_ptr<const routing::MinimalRouting> base_;
@@ -112,9 +119,12 @@ class FaultAwareRouting final : public routing::MinimalRouting {
   bool degraded_ = false;
   std::uint64_t epoch_ = 0;
 
-  // Survivor table, valid iff degraded_.
-  std::unique_ptr<graph::DistanceMatrix> dist_;
-  std::unique_ptr<graph::MinimalNextHops> hops_;
+  // The survivor graph and its distances as of the last commit (empty
+  // before the first), and the per-link liveness they were built for, one
+  // flag per topology edge in edge_list() order.
+  std::vector<std::uint8_t> link_up_;
+  graph::Graph survivor_;
+  graph::DistanceMatrix dist_;
 };
 
 /// Factory mirroring routing/routing.h's helpers.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include "fault/degrade.h"
 
@@ -22,6 +24,25 @@ const char* to_string(EventKind kind) {
   return "?";
 }
 
+void check_event(const topo::Topology& topo, const FaultEvent& ev) {
+  const graph::Vertex n = topo.num_routers();
+  const bool link = ev.kind == EventKind::kLinkDown ||
+                    ev.kind == EventKind::kLinkUp;
+  const char* problem = nullptr;
+  if (ev.a >= n || (link && ev.b >= n)) {
+    problem = "router id out of range";
+  } else if (link && !topo.g.has_edge(ev.a, ev.b)) {
+    problem = "routers are not adjacent";
+  }
+  if (problem == nullptr) return;
+  std::string what = std::string("fault event ") + to_string(ev.kind) + " " +
+                     std::to_string(ev.a);
+  if (link) what += "-" + std::to_string(ev.b);
+  throw std::invalid_argument(what + " at cycle " + std::to_string(ev.cycle) +
+                              ": " + problem + " (" + std::to_string(n) +
+                              " routers)");
+}
+
 FaultSchedule FaultSchedule::from_events(std::vector<FaultEvent> events) {
   std::stable_sort(events.begin(), events.end(),
                    [](const FaultEvent& x, const FaultEvent& y) {
@@ -35,6 +56,11 @@ FaultSchedule FaultSchedule::from_events(std::vector<FaultEvent> events) {
 FaultSchedule FaultSchedule::random(const topo::Topology& topo,
                                     const ScheduleSpec& spec,
                                     std::uint64_t seed) {
+  if (!(spec.link_fail_fraction >= 0.0 && spec.link_fail_fraction <= 1.0)) {
+    throw std::invalid_argument(
+        "FaultSchedule::random: link_fail_fraction " +
+        std::to_string(spec.link_fail_fraction) + " is not in [0, 1]");
+  }
   std::vector<FaultEvent> events;
 
   // Strike cycle of the i-th of k failures, evenly spaced over the window.

@@ -40,12 +40,17 @@ struct FaultEvent {
   graph::Vertex b = 0;
 };
 
+/// Throws std::invalid_argument naming `ev` unless it fits `topo`: a router
+/// event needs a < num_routers(), a link event needs (a, b) to be a link.
+void check_event(const topo::Topology& topo, const FaultEvent& ev);
+
 /// Rate spec for seeded random schedule generation (FaultSchedule::random).
 struct ScheduleSpec {
   /// Fraction of the topology's links that fail, struck at evenly spaced
   /// cycles across [begin_cycle, end_cycle). The failing links are the
   /// first `fraction * |E|` of the seed's canonical shuffled edge order
-  /// (the same prefix fault::degrade removes statically).
+  /// (the same prefix fault::degrade removes statically). Must lie in
+  /// [0, 1].
   double link_fail_fraction = 0.0;
   /// Number of routers that additionally fail across the same window.
   /// Endpoint-carrying routers are preferred (they exercise packet loss);
@@ -69,7 +74,8 @@ class FaultSchedule {
   static FaultSchedule from_events(std::vector<FaultEvent> events);
 
   /// Seeded random schedule over `topo` (see ScheduleSpec). Deterministic:
-  /// same topology + spec + seed give the same event list.
+  /// same topology + spec + seed give the same event list. Throws
+  /// std::invalid_argument for a link_fail_fraction outside [0, 1].
   static FaultSchedule random(const topo::Topology& topo,
                               const ScheduleSpec& spec, std::uint64_t seed);
 

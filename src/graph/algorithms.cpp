@@ -162,20 +162,54 @@ std::uint32_t diameter(const Graph& g) { return path_stats(g).diameter; }
 
 double avg_path_length(const Graph& g) { return path_stats(g).avg_path_length; }
 
-DistanceMatrix::DistanceMatrix(const Graph& g, unsigned num_threads)
-    : n_(g.num_vertices()) {
-  dist_.assign(static_cast<std::size_t>(n_) * n_, 0xffff);
+bool DistanceMatrix::certified(const Graph& g, Vertex src,
+                               std::span<const Edge> removed,
+                               std::span<const Edge> added) const {
+  const std::uint16_t* row = dist_.data() + static_cast<std::size_t>(src) * n_;
+  for (const auto& [u, v] : added) {
+    const std::uint16_t du = row[u], dv = row[v];
+    if ((du == kNone) != (dv == kNone)) return false;
+    if (du != kNone && (du > dv + 1 || dv > du + 1)) return false;
+  }
+  // A removed edge (a, b) with b one layer below a may have been b's only
+  // way back to src: b then needs another neighbour in a's layer.
+  const auto keeps_parent = [&](Vertex a, Vertex b) {
+    if (row[a] == kNone || row[a] + 1 != row[b]) return true;
+    for (Vertex w : g.neighbors(b)) {
+      if (row[w] == row[a]) return true;
+    }
+    return false;
+  };
+  for (const auto& [u, v] : removed) {
+    if (!keeps_parent(u, v) || !keeps_parent(v, u)) return false;
+  }
+  return true;
+}
+
+std::size_t DistanceMatrix::update(const Graph& g,
+                                   std::span<const Edge> removed,
+                                   std::span<const Edge> added,
+                                   unsigned num_threads) {
+  const bool resized = n_ != g.num_vertices();
+  if (resized) {
+    n_ = g.num_vertices();
+    dist_.assign(static_cast<std::size_t>(n_) * n_, kNone);
+  }
+  std::atomic<std::size_t> rerun{0};
   parallel_for(n_, num_threads, [&](std::size_t s) {
+    const auto src = static_cast<Vertex>(s);
+    if (!resized && certified(g, src, removed, added)) return;
     thread_local std::vector<std::uint32_t> dist;
     thread_local std::vector<Vertex> queue;
-    bfs_into(g, static_cast<Vertex>(s), dist, queue, nullptr);
+    bfs_into(g, src, dist, queue, nullptr);
     auto* row = dist_.data() + s * n_;
     for (Vertex v = 0; v < n_; ++v) {
-      row[v] = dist[v] == kUnreachable
-                   ? std::numeric_limits<std::uint16_t>::max()
-                   : static_cast<std::uint16_t>(dist[v]);
+      row[v] = dist[v] == kUnreachable ? kNone
+                                       : static_cast<std::uint16_t>(dist[v]);
     }
+    rerun.fetch_add(1, std::memory_order_relaxed);
   });
+  return rerun.load();
 }
 
 MinimalNextHops::MinimalNextHops(const Graph& g, const DistanceMatrix& dist)

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -50,15 +51,43 @@ double avg_path_length(const Graph& g);
 /// for graphs up to a few thousand vertices (all simulated configs qualify).
 class DistanceMatrix {
  public:
-  explicit DistanceMatrix(const Graph& g, unsigned num_threads = 0);
+  /// An empty matrix (size 0): its first update() is a full sweep.
+  DistanceMatrix() = default;
+  explicit DistanceMatrix(const Graph& g, unsigned num_threads = 0) {
+    update(g, {}, {}, num_threads);
+  }
+
+  /// Brings the matrix up to date with `g` after an edge batch: `removed`
+  /// and `added` (either orientation) must cover every edge that left or
+  /// joined the graph the matrix last described; extra entries only cost
+  /// time. A source row is kept iff its old distances are still a BFS
+  /// certificate on g -- every vertex that lost an edge into its parent
+  /// layer keeps a neighbour one hop closer, and every added edge joins
+  /// vertices at most one layer apart (unreachable counting as infinity)
+  /// -- and re-runs BFS otherwise. A matrix of another size (an empty
+  /// one) re-runs every row. The result equals DistanceMatrix(g) exactly.
+  /// Returns the number of rows re-run. `num_threads` 0 means hardware
+  /// concurrency.
+  std::size_t update(const Graph& g, std::span<const Edge> removed,
+                     std::span<const Edge> added, unsigned num_threads = 0);
 
   std::uint16_t at(Vertex src, Vertex dst) const {
     return dist_[static_cast<std::size_t>(src) * n_ + dst];
   }
+  /// at() widened, with kUnreachable for partitioned pairs.
+  std::uint32_t distance(Vertex src, Vertex dst) const {
+    const std::uint16_t d = at(src, dst);
+    return d == kNone ? kUnreachable : d;
+  }
   Vertex size() const { return n_; }
 
  private:
-  Vertex n_;
+  static constexpr std::uint16_t kNone = 0xFFFF;  // unreachable
+
+  bool certified(const Graph& g, Vertex src, std::span<const Edge> removed,
+                 std::span<const Edge> added) const;
+
+  Vertex n_ = 0;
   std::vector<std::uint16_t> dist_;
 };
 

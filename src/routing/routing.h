@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,11 +64,7 @@ class TableRouting final : public MinimalRouting {
       : dist_(g), hops_(g, dist_) {}
 
   std::uint32_t distance(graph::Vertex src, graph::Vertex dst) const override {
-    // Widen the matrix's uint16 unreachable marker back to the interface
-    // sentinel (a disconnected pair used to leak the raw 0xFFFF).
-    const std::uint16_t d = dist_.at(src, dst);
-    return d == std::numeric_limits<std::uint16_t>::max() ? graph::kUnreachable
-                                                          : d;
+    return dist_.distance(src, dst);
   }
   void next_hops(graph::Vertex cur, graph::Vertex dst,
                  std::vector<graph::Vertex>& out) const override {

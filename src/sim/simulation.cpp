@@ -58,6 +58,10 @@ Simulation::Simulation(const Network& net, const SimParams& prm,
   }
   profile_ = prm_.profile && !prm_.reference_impl;
   if (prm_.faults != nullptr && !prm_.faults->empty()) {
+    // A malformed event fails here, before cycle 0.
+    for (const auto& ev : prm_.faults->events()) {
+      fault::check_event(net.topology(), ev);
+    }
     has_faults_ = true;
     fault_hop_limit_ =
         prm_.fault_hop_limit != 0 ? prm_.fault_hop_limit : prm_.num_vcs * 4;
@@ -381,13 +385,11 @@ bool Simulation::compute_route(std::uint32_t pkt_idx, Vertex r,
     // One decision, two views: FaultAwareRouting::next_hops over the
     // virtual base scheme, or survivor_filter over the flattened pristine
     // ports (same order) and the per-epoch link_down_ mask. Either way the
-    // vertices left in `hops` are mapped to ports here.
+    // vertices left in fault_hops_ are mapped to ports here.
     fault_ports_.clear();
-    std::span<const Vertex> hops;
+    fault_hops_.clear();
     if (prm_.reference_impl) {
-      fault_hops_.clear();
       fault_routing_->next_hops(r, target, fault_hops_);
-      hops = fault_hops_;
     } else {
       struct Ports {
         Simulation& sim;
@@ -403,9 +405,9 @@ bool Simulation::compute_route(std::uint32_t pkt_idx, Vertex r,
         void keep(std::uint16_t p) { sim.fault_ports_.push_back(p); }
       };
       Ports view{*this, net_->route_ports(r, target), net_->port_base(r)};
-      hops = fault_routing_->survivor_filter(r, target, view);
+      fault_routing_->survivor_filter(r, target, view, fault_hops_);
     }
-    for (Vertex h : hops) {
+    for (Vertex h : fault_hops_) {
       fault_ports_.push_back(
           static_cast<std::uint16_t>(net_->port_toward(r, h)));
     }

@@ -5,26 +5,33 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/fault_tolerance.h"
+#include "core/polarstar.h"
 #include "fault/degrade.h"
 #include "fault/fault_routing.h"
 #include "fault/schedule.h"
 #include "graph/algorithms.h"
+#include "routing/dragonfly_routing.h"
 #include "routing/routing.h"
 #include "runlab/runner.h"
 #include "sim/simulation.h"
 #include "sim/traffic.h"
 #include "topo/dragonfly.h"
+#include "topo/hyperx.h"
+#include "topo/jellyfish.h"
 
 namespace fault = polarstar::fault;
+namespace core = polarstar::core;
 namespace analysis = polarstar::analysis;
 namespace routing = polarstar::routing;
 namespace runlab = polarstar::runlab;
@@ -145,6 +152,20 @@ TEST(FaultSchedule, RandomFailsTheCanonicalLinkPrefix) {
   EXPECT_EQ(links, expected);
 }
 
+TEST(FaultSchedule, RandomRejectsFractionsOutsideUnitInterval) {
+  const auto t = small_df();
+  for (const double frac : {-0.1, 1.5, std::nan("")}) {
+    fault::ScheduleSpec spec;
+    spec.link_fail_fraction = frac;
+    EXPECT_THROW(fault::FaultSchedule::random(t, spec, 1),
+                 std::invalid_argument)
+        << frac;
+  }
+  fault::ScheduleSpec all;
+  all.link_fail_fraction = 1.0;
+  EXPECT_EQ(fault::FaultSchedule::random(t, all, 1).size(), t.g.num_edges());
+}
+
 TEST(FaultSchedule, FromEventsStableSortsByCycle) {
   const auto s = fault::FaultSchedule::from_events(
       {{300, fault::EventKind::kLinkDown, 0, 1},
@@ -237,6 +258,216 @@ TEST(FaultAwareRouting, RouterDownKillsIncidentLinksAndPartitions) {
   far->commit();
   EXPECT_FALSE(far->degraded());
   EXPECT_EQ(far->distance(0, 2), 2u);
+}
+
+TEST(FaultAwareRouting, RejectsEventsThatDoNotFitTheTopology) {
+  const auto t = std::make_shared<const topo::Topology>(small_df());
+  const g::Vertex n = t->num_routers();
+  g::Vertex far_away = 1;  // some router not adjacent to router 0
+  while (t->g.has_edge(0, far_away)) ++far_away;
+  const std::vector<fault::FaultEvent> bad = {
+      {5, fault::EventKind::kRouterDown, n, 0},
+      {5, fault::EventKind::kLinkDown, 0, n + 3},
+      {5, fault::EventKind::kLinkUp, n, 0},
+      {5, fault::EventKind::kLinkDown, 0, far_away},
+      {5, fault::EventKind::kLinkDown, 2, 2},
+  };
+  auto far = fault::make_fault_aware_routing(
+      t, routing::make_table_routing(t->g));
+  for (const auto& ev : bad) {
+    EXPECT_THROW(far->apply(ev), std::invalid_argument);
+    EXPECT_THROW(fault::check_event(*t, ev), std::invalid_argument);
+  }
+  // Nothing was folded in: the next commit is a no-op.
+  far->commit();
+  EXPECT_EQ(far->epoch(), 0u);
+  EXPECT_FALSE(far->degraded());
+  try {
+    far->apply(bad[3]);
+    ADD_FAILURE() << "non-adjacent link event accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("link-down 0-" + std::to_string(far_away)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("not adjacent"), std::string::npos) << what;
+  }
+}
+
+TEST(SimFault, ConstructorRejectsAMalformedSchedule) {
+  auto net = small_net();
+  const auto sched = fault::FaultSchedule::from_events(
+      {{100, fault::EventKind::kLinkDown, 0, 1},
+       {1u << 30, fault::EventKind::kRouterDown, net->num_routers(), 0}});
+  auto prm = short_params();
+  prm.faults = &sched;
+  auto src = sim::make_pattern_source(net->topology(), sim::Pattern::kUniform,
+                                      0.1, prm.packet_flits, 3);
+  EXPECT_THROW(sim::Simulation(*net, prm, *src).run(), std::invalid_argument);
+}
+
+// The survivor tables against a from-scratch oracle. Both engines share one
+// FaultAwareRouting, so reference_impl cannot catch a wrong incremental
+// update: this test is the oracle. Every commit of a random mix of link and
+// router failures and repairs (multi-event batches, returns to pristine, a
+// partition) must leave distance(), the fallback hops and storage_entries()
+// equal to a fresh DistanceMatrix / MinimalNextHops of the survivor graph,
+// and DistanceMatrix::update fed the same edge diff must equal a fresh build.
+TEST(FaultAwareRouting, SurvivorTablesMatchAFreshBuildUnderRandomBatches) {
+  struct Family {
+    std::string name;
+    std::shared_ptr<const topo::Topology> topo;
+    std::shared_ptr<const routing::MinimalRouting> base;
+  };
+  std::vector<Family> families;
+  {
+    auto ps = std::make_shared<const core::PolarStar>(core::PolarStar::build(
+        {3, 3, core::SupernodeKind::kInductiveQuad, 1}));
+    families.push_back({"PS-IQ", core::shared_topology(ps),
+                        routing::make_polarstar_routing(ps)});
+    auto df = std::make_shared<const topo::Topology>(small_df());
+    families.push_back(
+        {"DF", df, std::make_shared<routing::DragonflyRouting>(df)});
+    for (auto t : {topo::hyperx::build({{3, 3, 4}, 1}),
+                   topo::jellyfish::build({40, 5, 1, 3})}) {
+      auto tp = std::make_shared<const topo::Topology>(std::move(t));
+      families.push_back({tp->name, tp, routing::make_table_routing(tp->g)});
+    }
+  }
+  std::mt19937_64 rng(2024);
+  for (const auto& fam : families) {
+    SCOPED_TRACE(fam.name);
+    const auto& tg = fam.topo->g;
+    const g::Vertex n = tg.num_vertices();
+    const auto edges = tg.edge_list();
+    auto far = fault::make_fault_aware_routing(fam.topo, fam.base);
+    std::set<g::Edge> failed;
+    std::set<g::Vertex> dead;
+    std::set<g::Edge> prev_dead_edges;
+    g::DistanceMatrix incremental;  // empty: the first update is a sweep
+    const auto pick = [&](std::size_t k) {
+      return static_cast<std::size_t>(rng() % k);
+    };
+    for (int batch = 0; batch < 50; ++batch) {
+      std::vector<fault::FaultEvent> evs;
+      if (batch % 12 == 11) {
+        // Repair everything back to pristine.
+        for (const auto& [u, v] : failed) {
+          evs.push_back({0, fault::EventKind::kLinkUp, u, v});
+        }
+        for (const g::Vertex r : dead) {
+          evs.push_back({0, fault::EventKind::kRouterUp, r, 0});
+        }
+      } else if (batch == 5) {
+        // Cut every link of one router: a partition of live routers.
+        const g::Vertex r = static_cast<g::Vertex>(pick(n));
+        for (const g::Vertex w : tg.neighbors(r)) {
+          evs.push_back({0, fault::EventKind::kLinkDown, r, w});
+        }
+      } else {
+        const std::size_t k = 1 + pick(4);
+        for (std::size_t i = 0; i < k; ++i) {
+          const std::size_t what = pick(10);
+          if (what < 5) {
+            const auto [u, v] = edges[pick(edges.size())];
+            evs.push_back({0, fault::EventKind::kLinkDown, v, u});
+          } else if (what < 7 && !failed.empty()) {
+            auto it = failed.begin();
+            std::advance(it, pick(failed.size()));
+            evs.push_back({0, fault::EventKind::kLinkUp, it->first,
+                           it->second});
+          } else if (what < 8) {
+            evs.push_back({0, fault::EventKind::kRouterDown,
+                           static_cast<g::Vertex>(pick(n)), 0});
+          } else if (what < 9 && !dead.empty()) {
+            auto it = dead.begin();
+            std::advance(it, pick(dead.size()));
+            evs.push_back({0, fault::EventKind::kRouterUp, *it, 0});
+          } else {
+            // Down and up within one batch: no net change for that link.
+            const auto [u, v] = edges[pick(edges.size())];
+            if (failed.count({u, v}) == 0) {
+              evs.push_back({0, fault::EventKind::kLinkDown, u, v});
+              evs.push_back({0, fault::EventKind::kLinkUp, u, v});
+            }
+          }
+        }
+      }
+      for (const auto& ev : evs) {
+        far->apply(ev);
+        const g::Edge e{std::min(ev.a, ev.b), std::max(ev.a, ev.b)};
+        switch (ev.kind) {
+          case fault::EventKind::kLinkDown: failed.insert(e); break;
+          case fault::EventKind::kLinkUp: failed.erase(e); break;
+          case fault::EventKind::kRouterDown: dead.insert(ev.a); break;
+          case fault::EventKind::kRouterUp: dead.erase(ev.a); break;
+        }
+      }
+      far->commit();
+      SCOPED_TRACE("batch " + std::to_string(batch));
+
+      std::set<g::Edge> dead_edges = failed;
+      for (const auto& [u, v] : edges) {
+        if (dead.count(u) != 0 || dead.count(v) != 0) dead_edges.insert({u, v});
+      }
+      const g::Graph surv = tg.remove_edges(
+          std::vector<g::Edge>(dead_edges.begin(), dead_edges.end()));
+      const g::DistanceMatrix fresh(surv, 1);
+      const g::MinimalNextHops hops(surv, fresh);
+
+      std::vector<g::Edge> removed, added;
+      std::set_difference(dead_edges.begin(), dead_edges.end(),
+                          prev_dead_edges.begin(), prev_dead_edges.end(),
+                          std::back_inserter(removed));
+      std::set_difference(prev_dead_edges.begin(), prev_dead_edges.end(),
+                          dead_edges.begin(), dead_edges.end(),
+                          std::back_inserter(added));
+      incremental.update(surv, removed, added, 1);
+      prev_dead_edges = dead_edges;
+
+      ASSERT_EQ(far->degraded(), !dead_edges.empty() || !dead.empty());
+      if (!far->degraded()) {
+        EXPECT_EQ(far->storage_entries(), fam.base->storage_entries());
+      } else {
+        EXPECT_EQ(far->storage_entries(),
+                  fam.base->storage_entries() + hops.storage_entries());
+      }
+      struct NoCandidates {
+        std::span<const g::Vertex> candidates() const { return {}; }
+        g::Vertex neighbor(g::Vertex h) const { return h; }
+        bool alive(g::Vertex) const { return true; }
+        void keep(g::Vertex) {}
+      } none;
+      // One assertion per commit (per-pair gtest macros are slow in Debug).
+      std::size_t mismatches = 0;
+      std::string first;
+      const auto check = [&](bool ok, const char* what, g::Vertex s,
+                             g::Vertex d) {
+        if (ok || mismatches++ > 0) return;
+        first = std::string(what) + " " + std::to_string(s) + "->" +
+                std::to_string(d);
+      };
+      std::vector<g::Vertex> fallback;
+      for (g::Vertex s = 0; s < n; ++s) {
+        for (g::Vertex d = 0; d < n; ++d) {
+          check(incremental.at(s, d) == fresh.at(s, d), "update", s, d);
+          if (!far->degraded()) continue;
+          const bool down = dead.count(s) != 0 || dead.count(d) != 0;
+          check(far->distance(s, d) ==
+                    (down ? g::kUnreachable : fresh.distance(s, d)),
+                "distance", s, d);
+          fallback.clear();
+          far->survivor_filter(s, d, none, fallback);
+          const auto want = hops.next_hops(s, d);
+          check(std::equal(fallback.begin(), fallback.end(), want.begin(),
+                           want.end()),
+                "fallback", s, d);
+        }
+      }
+      ASSERT_EQ(mismatches, 0u) << "first: " << first;
+    }
+    EXPECT_EQ(far->epoch(), 50u);
+  }
 }
 
 TEST(Degrade, RemovesTheShuffledPrefix) {

@@ -138,6 +138,36 @@ TEST(Algorithms, DistanceMatrixMatchesBfs) {
   }
 }
 
+TEST(Algorithms, DistanceMatrixUpdateRerunsOnlyBrokenRows) {
+  // 8-cycle minus link (0,1): only sources 4 and 5, for which (0,1) is the
+  // far edge, keep a valid row. Re-adding it breaks the same six rows.
+  const Graph ring = cycle_graph(8);
+  const std::vector<g::Edge> cut = {{1, 0}};
+  const Graph path = ring.remove_edges(cut);
+  g::DistanceMatrix dm;
+  EXPECT_EQ(dm.update(ring, {}, {}, 1), 8u);  // empty: a full sweep
+  EXPECT_EQ(dm.update(path, cut, {}, 1), 6u);
+  const auto same = [](const g::DistanceMatrix& a, const g::DistanceMatrix& b) {
+    for (Vertex s = 0; s < a.size(); ++s) {
+      for (Vertex t = 0; t < a.size(); ++t) {
+        if (a.at(s, t) != b.at(s, t)) return false;
+      }
+    }
+    return a.size() == b.size();
+  };
+  EXPECT_TRUE(same(dm, g::DistanceMatrix(path)));
+  EXPECT_EQ(dm.update(ring, {}, cut, 1), 6u);
+  EXPECT_TRUE(same(dm, g::DistanceMatrix(ring)));
+  // Cutting the ring in two: unreachable pairs match a fresh build too.
+  const std::vector<g::Edge> halves = {{0, 1}, {4, 5}};
+  const Graph split = ring.remove_edges(halves);
+  dm.update(split, halves, {}, 1);
+  EXPECT_TRUE(same(dm, g::DistanceMatrix(split)));
+  EXPECT_EQ(dm.distance(0, 1), g::kUnreachable);
+  EXPECT_EQ(dm.update(ring, {}, halves, 1), 8u);
+  EXPECT_TRUE(same(dm, g::DistanceMatrix(ring)));
+}
+
 TEST(Algorithms, MinimalNextHops) {
   Graph g = cycle_graph(6);
   g::DistanceMatrix dm(g);
