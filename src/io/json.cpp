@@ -16,6 +16,11 @@ const Value* Value::find(const std::string& key) const {
 
 namespace {
 
+/// Nesting cap for arrays and objects. The parser recurses once per level,
+/// so an unbounded depth lets a small hostile file overflow the stack; the
+/// documents the repo writes nest fewer than ten levels.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -62,9 +67,15 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        ++depth_;
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Value(parse_string());
       case 't':
@@ -236,6 +247,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

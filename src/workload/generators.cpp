@@ -115,80 +115,48 @@ class IncastSource final : public BernoulliSource {
 
 class MultiTenantSource final : public BernoulliSource {
  public:
-  /// `placement` nullptr or empty = contiguous equal blocks. The contiguous
-  /// path draws the exact same RNG sequence as the explicit one (members
-  /// are just id ranges), so legacy runs stay bit-identical.
   MultiTenantSource(const topo::Topology& topo,
-                    const std::vector<TenantPattern>& tenants,
-                    const std::vector<std::uint32_t>* placement, double load,
+                    const std::vector<TenantPattern>& tenants, double load,
                     std::uint32_t packet_flits, std::uint64_t seed)
-      : BernoulliSource(topo, load, packet_flits, seed) {
+      : BernoulliSource(topo, load, packet_flits, seed), patterns_(tenants) {
     const std::uint64_t eps = topo.num_endpoints();
     const std::size_t T = tenants.size();
     if (eps < T) {
       throw std::invalid_argument("multi-tenant: fewer endpoints than tenants");
     }
-    tenant_of_.resize(eps);
-    members_.resize(T);
-    local_of_.resize(eps);
-    if (placement != nullptr && !placement->empty()) {
-      if (placement->size() != eps) {
-        throw std::invalid_argument(
-            "multi-tenant: placement size " +
-            std::to_string(placement->size()) + " != " +
-            std::to_string(eps) + " endpoints");
-      }
-      for (std::uint64_t e = 0; e < eps; ++e) {
-        tenant_of_[e] = (*placement)[e];
-        members_[(*placement)[e]].push_back(e);
-      }
-      for (std::size_t t = 0; t < T; ++t) {
-        if (members_[t].empty()) {
-          throw std::invalid_argument("multi-tenant: tenant " +
-                                      std::to_string(t) +
-                                      " owns no endpoints");
-        }
-      }
-    } else {
-      const std::uint64_t base = eps / T;
-      std::uint64_t at = 0;
-      for (std::size_t t = 0; t < T; ++t) {
-        const std::uint64_t size = (t + 1 == T) ? eps - at : base;
-        for (std::uint64_t e = 0; e < size; ++e) {
-          tenant_of_[at + e] = static_cast<std::uint32_t>(t);
-          members_[t].push_back(at + e);
-        }
-        at += size;
-      }
-    }
-    for (std::size_t t = 0; t < T; ++t) {
-      for (std::uint64_t i = 0; i < members_[t].size(); ++i) {
-        local_of_[members_[t][i]] = i;
-      }
-    }
-    patterns_ = tenants;
+    base_ = eps / T;
     // Fixed per-tenant permutations / hot members, drawn up front in tenant
     // order so the layout is a pure function of the seed.
     perm_.resize(T);
     hot_.assign(T, 0);
     for (std::size_t t = 0; t < T; ++t) {
+      const std::uint64_t size = block_size(t);
       if (patterns_[t] == TenantPattern::kPermutation) {
-        perm_[t].resize(members_[t].size());
-        for (std::uint64_t i = 0; i < perm_[t].size(); ++i) perm_[t][i] = i;
+        perm_[t].resize(size);
+        for (std::uint64_t i = 0; i < size; ++i) perm_[t][i] = i;
         std::shuffle(perm_[t].begin(), perm_[t].end(), rng_);
       } else if (patterns_[t] == TenantPattern::kHotspot) {
-        hot_[t] = rng_() % members_[t].size();
+        hot_[t] = rng_() % size;
       }
     }
   }
 
  private:
+  /// Tenant t owns endpoints [t * base_, t * base_ + block_size(t)); the
+  /// remainder endpoints join the last block.
+  std::uint64_t block_size(std::size_t t) const {
+    return t + 1 == patterns_.size()
+               ? topo_->num_endpoints() - t * base_
+               : base_;
+  }
+
   std::uint64_t destination(std::uint64_t src, std::uint64_t /*cycle*/)
       override {
-    const std::uint32_t t = tenant_of_[src];
-    const std::uint64_t n = members_[t].size();
+    const std::size_t t =
+        std::min<std::uint64_t>(src / base_, patterns_.size() - 1);
+    const std::uint64_t n = block_size(t);
     if (n < 2) return kNone;
-    const std::uint64_t local = local_of_[src];
+    const std::uint64_t local = src - t * base_;
     std::uint64_t out = kNone;
     switch (patterns_[t]) {
       case TenantPattern::kUniform: {
@@ -207,13 +175,11 @@ class MultiTenantSource final : public BernoulliSource {
         break;
     }
     if (out == kNone || out == local) return kNone;
-    return members_[t][out];
+    return t * base_ + out;
   }
 
   std::vector<TenantPattern> patterns_;
-  std::vector<std::uint32_t> tenant_of_;
-  std::vector<std::vector<std::uint64_t>> members_;
-  std::vector<std::uint64_t> local_of_;
+  std::uint64_t base_ = 0;  ///< size of every block but the last
   std::vector<std::vector<std::uint64_t>> perm_;
   std::vector<std::uint64_t> hot_;
 };
@@ -358,62 +324,19 @@ MultiTenantWorkload::MultiTenantWorkload(std::vector<TenantPattern> tenants)
   }
 }
 
-MultiTenantWorkload::MultiTenantWorkload(std::vector<TenantPattern> tenants,
-                                         std::vector<std::uint32_t> placement)
-    : tenants_(std::move(tenants)), placement_(std::move(placement)) {
-  if (tenants_.empty()) {
-    throw std::invalid_argument("multi-tenant: need at least one tenant");
-  }
-  std::vector<std::uint64_t> owned(tenants_.size(), 0);
-  for (std::uint32_t t : placement_) {
-    if (t >= tenants_.size()) {
-      throw std::invalid_argument("multi-tenant: placement names tenant " +
-                                  std::to_string(t) + ", have " +
-                                  std::to_string(tenants_.size()));
-    }
-    ++owned[t];
-  }
-  for (std::size_t t = 0; t < owned.size(); ++t) {
-    if (owned[t] == 0) {
-      throw std::invalid_argument("multi-tenant: tenant " +
-                                  std::to_string(t) + " owns no endpoints");
-    }
-  }
-}
-
 std::string MultiTenantWorkload::describe() const {
   std::ostringstream os;
   for (std::size_t t = 0; t < tenants_.size(); ++t) {
     if (t != 0) os << '+';
     os << to_string(tenants_[t]);
   }
-  if (!placement_.empty()) os << " (placed)";
   return os.str();
 }
 
 std::unique_ptr<sim::TrafficSource> MultiTenantWorkload::instantiate(
     const Context& ctx) const {
-  return std::make_unique<MultiTenantSource>(*ctx.topo, tenants_, &placement_,
-                                             ctx.load, ctx.packet_flits,
-                                             ctx.seed);
-}
-
-std::vector<std::uint32_t> placement_from_router_parts(
-    const topo::Topology& topo, std::span<const std::uint32_t> router_part) {
-  if (router_part.size() != topo.num_routers()) {
-    throw std::invalid_argument(
-        "placement_from_router_parts: map covers " +
-        std::to_string(router_part.size()) + " routers, topology has " +
-        std::to_string(topo.num_routers()));
-  }
-  std::vector<std::uint32_t> placement(topo.num_endpoints());
-  for (graph::Vertex r = 0; r < topo.num_routers(); ++r) {
-    for (std::uint64_t e = topo.endpoint_offset[r];
-         e < topo.endpoint_offset[r + 1]; ++e) {
-      placement[e] = router_part[r];
-    }
-  }
-  return placement;
+  return std::make_unique<MultiTenantSource>(*ctx.topo, tenants_, ctx.load,
+                                             ctx.packet_flits, ctx.seed);
 }
 
 // ---- TransientHotspotWorkload ---------------------------------------------

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -91,26 +90,16 @@ enum class TenantPattern {
 
 const char* to_string(TenantPattern p);
 
-/// Endpoints are split into tenants.size() blocks; tenant t's endpoints
-/// talk only among themselves with tenant t's pattern. Models a multi-job
-/// machine where jobs interfere in the network but never address each
-/// other. Two placement modes:
-///  - contiguous (default): equal contiguous blocks in endpoint order (the
-///    remainder endpoints join the last block);
-///  - explicit: a per-endpoint tenant map, e.g. derived from a streaming
-///    partitioner run over the router graph (placement_from_router_parts),
-///    so each job's endpoints sit on a low-cut cluster of routers instead
-///    of an arbitrary id range.
+/// Endpoints are split into tenants.size() equal contiguous blocks in
+/// endpoint order (the remainder endpoints join the last block); tenant t's
+/// endpoints talk only among themselves with tenant t's pattern. Models a
+/// multi-job machine where jobs interfere in the network but never address
+/// each other.
 class MultiTenantWorkload final : public Workload {
  public:
+  /// Throws std::invalid_argument on an empty tenant list; instantiate()
+  /// throws if the topology has fewer endpoints than tenants.
   explicit MultiTenantWorkload(std::vector<TenantPattern> tenants);
-
-  /// Explicit placement: placement[e] is endpoint e's tenant. Every value
-  /// must be < tenants.size() and every tenant must own at least one
-  /// endpoint (checked here); the size must match the simulated topology's
-  /// endpoint count (checked at instantiate time).
-  MultiTenantWorkload(std::vector<TenantPattern> tenants,
-                      std::vector<std::uint32_t> placement);
 
   std::string name() const override { return "multi-tenant"; }
   std::string describe() const override;
@@ -118,20 +107,10 @@ class MultiTenantWorkload final : public Workload {
       const Context& ctx) const override;
 
   const std::vector<TenantPattern>& tenants() const { return tenants_; }
-  /// Empty in contiguous mode.
-  const std::vector<std::uint32_t>& placement() const { return placement_; }
 
  private:
   std::vector<TenantPattern> tenants_;
-  std::vector<std::uint32_t> placement_;
 };
-
-/// Expands a router -> part map (e.g. StreamPartition::part_of_vertex)
-/// into the per-endpoint tenant map MultiTenantWorkload's explicit
-/// placement takes: endpoint e joins the part of its router.
-/// router_part.size() must equal topo.num_routers().
-std::vector<std::uint32_t> placement_from_router_parts(
-    const topo::Topology& topo, std::span<const std::uint32_t> router_part);
 
 /// Uniform background that develops a hotspot during [begin, end): inside
 /// the window, hot_fraction of each endpoint's packets target one of

@@ -1,9 +1,14 @@
 #include "workload/trace.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "sim/network.h"
 #include "sim/simulation.h"
@@ -17,6 +22,28 @@ constexpr const char* kHeader = "# polarstar workload trace v1";
 [[noreturn]] void parse_error(std::size_t line, const std::string& what) {
   throw std::runtime_error("workload trace line " + std::to_string(line) +
                            ": " + what);
+}
+
+/// The whitespace-separated tokens of one line.
+std::vector<std::string_view> split(std::string_view line) {
+  std::vector<std::string_view> out;
+  std::size_t at = 0;
+  while (true) {
+    at = line.find_first_not_of(" \t\r", at);
+    if (at == std::string_view::npos) return out;
+    const std::size_t end = std::min(line.find_first_of(" \t\r", at),
+                                     line.size());
+    out.push_back(line.substr(at, end - at));
+    at = end;
+  }
+}
+
+/// An unsigned decimal token. Unlike `>>` into an unsigned, this rejects a
+/// sign (which `>>` wraps) and values past 2^64 - 1.
+bool to_uint(std::string_view tok, std::uint64_t& out) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -54,28 +81,37 @@ Trace read_trace(std::istream& is) {
   std::uint64_t expected_events = 0;
   for (const char* key : {"endpoints", "packet_flits", "events"}) {
     next_line();
-    std::istringstream ls(line);
-    std::string word;
+    const auto tok = split(line);
     std::uint64_t value = 0;
-    if (!(ls >> word >> value) || word != key) {
+    if (tok.size() != 2 || tok[0] != key || !to_uint(tok[1], value)) {
       parse_error(lineno, std::string("expected \"") + key + " <n>\"");
     }
-    if (word == "endpoints") trace.num_endpoints = value;
-    if (word == "packet_flits") {
+    if (tok[0] == "endpoints") trace.num_endpoints = value;
+    if (tok[0] == "packet_flits") {
+      if (value == 0 || value > UINT32_MAX) {
+        parse_error(lineno, "packet_flits out of range");
+      }
       trace.packet_flits = static_cast<std::uint32_t>(value);
     }
-    if (word == "events") expected_events = value;
+    if (tok[0] == "events") expected_events = value;
   }
 
-  trace.events.reserve(expected_events);
+  // The count is untrusted: reserve at most a bounded prefix, and let a
+  // short file end in "unexpected EOF" rather than an allocation failure.
+  constexpr std::uint64_t kMaxReserve = 1 << 16;
+  trace.events.reserve(std::min(expected_events, kMaxReserve));
   std::uint64_t last_cycle = 0;
   for (std::uint64_t i = 0; i < expected_events; ++i) {
     next_line();
-    std::istringstream ls(line);
+    const auto tok = split(line);
     TraceEvent e;
-    if (!(ls >> e.cycle >> e.src >> e.dst >> e.flits)) {
+    std::uint64_t flits = 0;
+    if (tok.size() != 4 || !to_uint(tok[0], e.cycle) ||
+        !to_uint(tok[1], e.src) || !to_uint(tok[2], e.dst) ||
+        !to_uint(tok[3], flits) || flits > UINT32_MAX) {
       parse_error(lineno, "expected \"<cycle> <src> <dst> <flits>\"");
     }
+    e.flits = static_cast<std::uint32_t>(flits);
     if (e.cycle < last_cycle) parse_error(lineno, "cycles not monotone");
     if (e.src >= trace.num_endpoints || e.dst >= trace.num_endpoints) {
       parse_error(lineno, "endpoint out of range");

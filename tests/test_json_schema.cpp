@@ -62,6 +62,8 @@ TEST(JsonParser, RejectsMalformedDocuments) {
   EXPECT_THROW(json::parse("12 34"), std::runtime_error);
   EXPECT_THROW(json::parse("\"unterminated"), std::runtime_error);
   EXPECT_THROW(json::parse("trye"), std::runtime_error);
+  // Nesting past the depth cap is an error, not a stack overflow.
+  EXPECT_THROW(json::parse(std::string(100000, '[')), std::runtime_error);
 }
 
 // \uXXXX escapes (RFC 8259 §7): BMP code points decode to UTF-8 directly,

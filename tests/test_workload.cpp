@@ -161,6 +161,42 @@ TEST(WorkloadTrace, ReaderRejectsMalformedInput) {
   EXPECT_THROW(parse("# polarstar workload trace v1\nendpoints 4\n"
                      "packet_flits 4\nevents 2\n5 0 1 4\n3 1 0 4\n"),
                std::runtime_error);
+  // Header values are untrusted: a negative or huge event count, a flit
+  // count that is zero or does not fit 32 bits, and trailing tokens all end
+  // in the reader's error, never in a wrapped value or an allocation
+  // failure. A short file behind a huge count is an unexpected EOF.
+  const std::string head = "# polarstar workload trace v1\nendpoints 4\n";
+  for (const std::string& bad : {
+           head + "packet_flits 4\nevents -1\n",
+           head + "packet_flits 4\nevents 1000000000000\n0 0 1 4\n",
+           head + "packet_flits 4294967300\nevents 0\n",
+           head + "packet_flits 0\nevents 0\n",
+           head + "packet_flits -4\nevents 0\n",
+           std::string("# polarstar workload trace v1\nendpoints 4 junk\n"
+                       "packet_flits 4\nevents 0\n"),
+           head + "packet_flits 4\nevents 1\n0 1 2 4 extra\n",
+           head + "packet_flits 4\nevents 1\n0 1 2 4294967300\n",
+           head + "packet_flits 4\nevents 1\n-1 1 2 4\n",
+       }) {
+    try {
+      parse(bad);
+      ADD_FAILURE() << "accepted:\n" << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("workload trace line "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  try {
+    parse(head + "packet_flits 4\nevents 1000000000000\n0 0 1 4\n");
+    ADD_FAILURE() << "accepted a short file behind a huge event count";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unexpected EOF"), std::string::npos)
+        << e.what();
+  }
+  // Well-formed input still parses, including tab separators.
+  EXPECT_EQ(parse(head + "packet_flits\t4\nevents 1\n0 1 2 4\n").events,
+            (std::vector<workload::TraceEvent>{{0, 1, 2, 4}}));
 }
 
 TEST(WorkloadTrace, ReplayValidatesContext) {
@@ -320,6 +356,23 @@ TEST(WorkloadGenerators, MultiTenantNeverCrossesTenantBlocks) {
   // The hotspot tenant funnels every packet to one member.
   ASSERT_GT(hot_packets, 0u);
   EXPECT_EQ(hot_dsts, 1u);
+}
+
+TEST(WorkloadGenerators, MultiTenantRejectsImpossibleTenantCounts) {
+  EXPECT_THROW(
+      workload::MultiTenantWorkload(std::vector<workload::TenantPattern>{}),
+      std::invalid_argument);
+  // The endpoint count is unknown until instantiate(): one more tenant than
+  // endpoints constructs fine and throws there.
+  const auto net =
+      polarstar_net({5, 3, core::SupernodeKind::kInductiveQuad, 2});
+  auto prm = base_params();
+  const workload::MultiTenantWorkload crowded(
+      std::vector<workload::TenantPattern>(
+          net->topology().num_endpoints() + 1,
+          workload::TenantPattern::kUniform));
+  EXPECT_THROW(crowded.instantiate(make_ctx(*net, 0.05, prm)),
+               std::invalid_argument);
 }
 
 TEST(WorkloadGenerators, CollectivePartnersFollowTheSchedule) {
