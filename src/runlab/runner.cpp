@@ -279,18 +279,6 @@ sim::SimResult run_point(const PointSpec& spec) {
   return res;
 }
 
-sim::SimResult run_point(const sim::Network& net, sim::Pattern pattern,
-                         double load, const sim::SimParams& params,
-                         std::uint64_t pattern_seed) {
-  return run_point({.net = &net,
-                    .pattern = pattern,
-                    .load = load,
-                    .params = params,
-                    .pattern_seed = pattern_seed,
-                    .collector = nullptr,
-                    .trace = {}});
-}
-
 std::uint32_t configured_metrics_interval() {
   return static_cast<std::uint32_t>(
       env_count("POLARSTAR_METRICS_INTERVAL", 0xFFFFFFFFul));

@@ -59,7 +59,6 @@ struct SweepCase {
   sim::SimParams params;
   /// Offered loads, ascending (flits per endpoint per cycle).
   std::vector<double> loads;
-  static constexpr std::uint64_t kSameSeed = runlab::kSameSeed;
   std::uint64_t pattern_seed = kSameSeed;
   /// Stop the chain after the first unstable point (paper-plot semantics).
   bool stop_after_saturation = true;
@@ -132,11 +131,6 @@ struct CaseResult {
 };
 
 sim::SimResult run_point(const PointSpec& spec);
-
-/// Source-compatibility shim over PointSpec's positional ancestors.
-sim::SimResult run_point(const sim::Network& net, sim::Pattern pattern,
-                         double load, const sim::SimParams& params,
-                         std::uint64_t pattern_seed = kSameSeed);
 
 /// Time-series interval from POLARSTAR_METRICS_INTERVAL: its value when it
 /// is a positive decimal integer that fits in 32 bits, otherwise 0 (off).

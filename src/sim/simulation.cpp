@@ -17,6 +17,18 @@ using graph::Vertex;
 
 namespace {
 constexpr std::uint32_t kInjectionFlag = 0x80000000u;
+// Cycles with no flit movement before a run is declared deadlocked.
+constexpr std::uint64_t kDeadlockThreshold = 4000;
+// Cycles from a fault drop until the source re-enqueues the packet; doubles
+// per retry (exponential backoff).
+constexpr std::uint64_t kRetransmitTimeout = 64;
+// Retransmit attempts before a packet is counted lost (fits the uint8
+// PacketRecord::retries).
+constexpr std::uint8_t kMaxRetransmits = 8;
+// Hop budget under faults, per VC: survivor paths can exceed the pristine
+// diameter, and a packet over num_vcs * 4 hops (at most 128, within the
+// uint8 PacketRecord::hops) is dropped and retransmitted.
+constexpr std::uint32_t kFaultHopsPerVc = 4;
 
 // Calls f(i) for each set bit i of words[0, n), ascending. Each word is
 // read once, so f may clear bits the walk has already passed.
@@ -56,6 +68,20 @@ Simulation::Simulation(const Network& net, const SimParams& prm,
     packet_telemetry_ = trace_filter_.enabled();
     fault_telemetry_ = caps.faults;
   }
+  if (prm_.num_vcs == 0 || prm_.num_vcs > 32) {
+    throw std::invalid_argument(
+        "Simulation: num_vcs must be in [1, 32] (the VC occupancy index is "
+        "one 32-bit mask per link port)");
+  }
+  // Buffer state and PacketRecord::flits are 16-bit.
+  if (prm_.vc_buffer_flits == 0 || prm_.vc_buffer_flits > 0xFFFF) {
+    throw std::invalid_argument(
+        "Simulation: vc_buffer_flits must be in [1, 65535]");
+  }
+  if (prm_.packet_flits == 0 || prm_.packet_flits > 0xFFFF) {
+    throw std::invalid_argument(
+        "Simulation: packet_flits must be in [1, 65535]");
+  }
   profile_ = prm_.profile && !prm_.reference_impl;
   if (prm_.faults != nullptr && !prm_.faults->empty()) {
     // A malformed event fails here, before cycle 0.
@@ -63,17 +89,10 @@ Simulation::Simulation(const Network& net, const SimParams& prm,
       fault::check_event(net.topology(), ev);
     }
     has_faults_ = true;
-    fault_hop_limit_ =
-        prm_.fault_hop_limit != 0 ? prm_.fault_hop_limit : prm_.num_vcs * 4;
     fault_routing_ = std::make_unique<fault::FaultAwareRouting>(
         net.topology_ptr(), net.routing_ptr());
     link_down_.assign(net.total_link_ports(), 0);
     router_down_.assign(net.num_routers(), 0);
-  }
-  if (prm_.num_vcs == 0 || prm_.num_vcs > 32) {
-    throw std::invalid_argument(
-        "Simulation: num_vcs must be in [1, 32] (the VC occupancy index is "
-        "one 32-bit mask per link port)");
   }
   const std::size_t nbuf = net.total_link_ports() * prm_.num_vcs;
   buf_store_.resize(nbuf * prm_.vc_buffer_flits);
@@ -381,7 +400,8 @@ bool Simulation::compute_route(std::uint32_t pkt_idx, Vertex r,
   }
   std::span<const std::uint16_t> ports;
   if (faults_active_) {
-    if (pk.hops >= fault_hop_limit_) return false;  // walked too far: drop
+    // Walked too far: drop.
+    if (pk.hops >= prm_.num_vcs * kFaultHopsPerVc) return false;
     // One decision, two views: FaultAwareRouting::next_hops over the
     // virtual base scheme, or survivor_filter over the flattened pristine
     // ports (same order) and the per-epoch link_down_ mask. Either way the
@@ -694,7 +714,7 @@ void Simulation::drop_packet(std::uint32_t pkt_idx) {
     collector_->on_packet_fault(pk, telemetry::PacketFaultKind::kDropped,
                                 cycle_);
   }
-  if (pk.retries >= prm_.max_retransmits ||
+  if (pk.retries >= kMaxRetransmits ||
       !fault_routing_->router_alive(pk.src_router) ||
       !fault_routing_->router_alive(pk.dst_router)) {
     lose_packet(pkt_idx);
@@ -705,8 +725,7 @@ void Simulation::drop_packet(std::uint32_t pkt_idx) {
   pk.hops = 0;
   pk.phase2 = false;
   // Exponential backoff: timeout, 2x timeout, 4x timeout, ...
-  const std::uint64_t delay = static_cast<std::uint64_t>(prm_.retransmit_timeout)
-                              << (pk.retries - 1);
+  const std::uint64_t delay = kRetransmitTimeout << (pk.retries - 1);
   retx_queue_.emplace(cycle_ + delay, pkt_idx);
 }
 
@@ -1029,7 +1048,7 @@ void Simulation::step_impl() {
   }
   if (progress) {
     last_progress_cycle_ = cycle_;
-  } else if (cycle_ - last_progress_cycle_ > prm_.deadlock_threshold) {
+  } else if (cycle_ - last_progress_cycle_ > kDeadlockThreshold) {
     deadlock_ = true;
   }
   prof_lap(prof_.barrier_seconds);
@@ -1243,7 +1262,7 @@ void Simulation::step_reference() {
   if (moved_this_cycle_ > 0 || live_packets_ == 0 ||
       (has_faults_ && fault_progress_pending())) {
     last_progress_cycle_ = cycle_;
-  } else if (cycle_ - last_progress_cycle_ > prm_.deadlock_threshold) {
+  } else if (cycle_ - last_progress_cycle_ > kDeadlockThreshold) {
     deadlock_ = true;
   }
   if (occupancy_period_ != 0 && cycle_ % occupancy_period_ == 0) {

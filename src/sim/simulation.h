@@ -43,6 +43,13 @@ enum class MinSelect { kSingleHash, kAdaptive };
 /// MinSelect is not distinguished under kUgal).
 const char* to_string(PathMode mode, MinSelect sel);
 
+/// Run knobs. The constructor rejects num_vcs outside [1, 32] and
+/// vc_buffer_flits or packet_flits outside [1, 65535] with
+/// std::invalid_argument. Fixed engine constants, not knobs: a run with no
+/// flit movement for 4000 cycles is declared deadlocked; under faults a
+/// dropped packet is retransmitted after 64 cycles, doubling per retry, and
+/// lost after 8 retries, and a packet that has walked num_vcs * 4 hops is
+/// dropped.
 struct SimParams {
   std::uint32_t num_vcs = 4;
   std::uint32_t vc_buffer_flits = 32;  // per input VC (4 x 32 = 128 per port)
@@ -61,7 +68,6 @@ struct SimParams {
   std::uint64_t measure_cycles = 5000;
   std::uint64_t drain_cycles = 30000;
   std::uint64_t seed = 1;
-  std::uint32_t deadlock_threshold = 4000;  // cycles with no flit movement
   PathMode path_mode = PathMode::kMinimal;
   MinSelect min_select = MinSelect::kSingleHash;
   std::uint32_t ugal_candidates = 4;
@@ -72,15 +78,6 @@ struct SimParams {
   /// code path is gated so fault-free runs are bit-identical to a build
   /// without the subsystem.
   const fault::FaultSchedule* faults = nullptr;
-  /// Cycles from a drop until the source re-enqueues the packet; doubles
-  /// per retry (exponential backoff).
-  std::uint32_t retransmit_timeout = 64;
-  /// Retransmit attempts before a packet is counted lost.
-  std::uint32_t max_retransmits = 8;
-  /// Hop budget under faults (survivor paths can exceed the pristine
-  /// diameter; packets over budget are dropped and retransmitted). Also
-  /// clamps the VC index. 0 = num_vcs * 4.
-  std::uint32_t fault_hop_limit = 0;
   /// Testing escape hatch: run the same UGAL-L and fault-filter bodies over
   /// the reference data views (routing::UgalSelector over the virtual
   /// MinimalRouting, FaultAwareRouting::next_hops over link_alive) instead
@@ -517,7 +514,6 @@ class Simulation {
   bool has_faults_ = false;      // a schedule was attached
   bool faults_active_ = false;   // network currently degraded
   bool fault_telemetry_ = false;
-  std::uint32_t fault_hop_limit_ = 0;
   std::size_t next_fault_ = 0;  // cursor into the schedule's event list
   std::unique_ptr<fault::FaultAwareRouting> fault_routing_;
   // Liveness masks recomputed per epoch: per directed link / per router.

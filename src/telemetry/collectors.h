@@ -242,7 +242,7 @@ class FaultCollector final : public Collector {
 /// Fans every event out to a set of collectors (non-owning). caps() is the
 /// union of the members' caps; occupancy samples are delivered to each
 /// member on its own period grid.
-class CollectorSet final : public Collector {
+class CollectorSet : public Collector {
  public:
   CollectorSet() = default;
   explicit CollectorSet(std::vector<Collector*> members);
@@ -288,22 +288,25 @@ class CollectorSet final : public Collector {
   mutable std::vector<Caps> member_caps_;
 };
 
-/// The everything-on bundle: one collector of each kind behind a single
-/// Collector facade. Attach directly to a Simulation, or return one from a
+/// The everything-on bundle: one collector of each kind in a CollectorSet
+/// (dispatch order: links, stalls, occupancy, ugal, latency, faults).
+/// Attach directly to a Simulation, or return one from a
 /// SweepCase::make_collector factory; the members stay public for
-/// inspection after the run.
-class FullCollector final : public Collector {
+/// inspection after the run. Not copyable: the set points at the members.
+class FullCollector final : public CollectorSet {
  public:
   explicit FullCollector(std::uint32_t occupancy_period = 64,
                          std::uint64_t epoch_cycles = 0)
       : links(epoch_cycles), occupancy(occupancy_period) {
-    set_.add(&links);
-    set_.add(&stalls);
-    set_.add(&occupancy);
-    set_.add(&ugal);
-    set_.add(&latency);
-    set_.add(&faults);
+    add(&links);
+    add(&stalls);
+    add(&occupancy);
+    add(&ugal);
+    add(&latency);
+    add(&faults);
   }
+  FullCollector(const FullCollector&) = delete;
+  FullCollector& operator=(const FullCollector&) = delete;
 
   LinkHistogramCollector links;
   StallCollector stalls;
@@ -311,64 +314,6 @@ class FullCollector final : public Collector {
   UgalCollector ugal;
   LatencyHistogramCollector latency;
   FaultCollector faults;
-
-  Caps caps() const override { return set_.caps(); }
-  void on_run_begin(const sim::Network& net, const sim::SimParams& prm,
-                    std::uint64_t mb, std::uint64_t me) override {
-    set_.on_run_begin(net, prm, mb, me);
-  }
-  void on_link_flit(std::size_t link, std::uint64_t cycle) override {
-    set_.on_link_flit(link, cycle);
-  }
-  void on_output_stall(std::uint32_t r, std::uint32_t port, StallCause cause,
-                       std::uint64_t cycle) override {
-    set_.on_output_stall(r, port, cause, cycle);
-  }
-  void on_ugal_decision(const UgalDecision& d, std::uint64_t cycle) override {
-    set_.on_ugal_decision(d, cycle);
-  }
-  void on_occupancy_sample(std::uint64_t cycle,
-                           const OccupancySnapshot& snap) override {
-    set_.on_occupancy_sample(cycle, snap);
-  }
-  void on_metrics_sample(const MetricsFrame& f) override {
-    set_.on_metrics_sample(f);
-  }
-  void on_packet_injected(const sim::PacketRecord& pkt,
-                          std::uint64_t cycle) override {
-    set_.on_packet_injected(pkt, cycle);
-  }
-  void on_packet_routed(const sim::PacketRecord& pkt, std::uint32_t router,
-                        std::uint16_t out_port, std::uint8_t out_vc,
-                        bool eject, std::uint64_t cycle) override {
-    set_.on_packet_routed(pkt, router, out_port, out_vc, eject, cycle);
-  }
-  void on_packet_hop(const sim::PacketRecord& pkt, std::uint32_t router,
-                     std::uint32_t port, std::uint8_t vc,
-                     std::uint64_t arrival_cycle,
-                     std::uint64_t cycle) override {
-    set_.on_packet_hop(pkt, router, port, vc, arrival_cycle, cycle);
-  }
-  void on_packet_ejected(const sim::PacketRecord& pkt,
-                         std::uint64_t arrival_cycle,
-                         std::uint64_t cycle) override {
-    set_.on_packet_ejected(pkt, arrival_cycle, cycle);
-  }
-  void on_fault(const fault::FaultEvent& ev, std::uint64_t cycle) override {
-    set_.on_fault(ev, cycle);
-  }
-  void on_packet_fault(const sim::PacketRecord& pkt, PacketFaultKind kind,
-                       std::uint64_t cycle) override {
-    set_.on_packet_fault(pkt, kind, cycle);
-  }
-  void on_run_end(std::uint64_t cycles, std::uint64_t measure_begin,
-                  std::uint64_t measure_end) override {
-    set_.on_run_end(cycles, measure_begin, measure_end);
-  }
-  void finish(Summary& out) const override { set_.finish(out); }
-
- private:
-  CollectorSet set_;
 };
 
 }  // namespace polarstar::telemetry

@@ -11,8 +11,15 @@
 // telemetry Summary, or the exported trace bytes. paranoid_checks is on
 // wherever affordable so the occupancy-index invariants are validated
 // every cycle in both modes.
+//
+// The same label carries the simulator-core counter gate
+// (SimcoreCounters/PerfCounters.*): six fixed-seed reduced-scale rows whose
+// cycles, delivered packets and flit-hops are pinned exactly. Any change
+// to the engine's outputs moves one of them; wall-clock throughput is
+// tracked by benchmark/, not here.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -22,6 +29,7 @@
 #include "core/polarstar.h"
 #include "fault/schedule.h"
 #include "io/trace_export.h"
+#include "routing/dragonfly_routing.h"
 #include "routing/routing.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
@@ -388,12 +396,118 @@ TEST(PerfEquivalence, CollectiveEngineRuns) {
   }
 }
 
-// The VC occupancy index is one 32-bit mask per link port.
+// The VC occupancy index is one 32-bit mask per link port; buffer state and
+// PacketRecord::flits are 16-bit, so a zero or over-wide buffer or packet
+// size is rejected too.
 TEST(PerfEquivalence, RejectsTooManyVcs) {
   const auto net = dragonfly_net();
-  sim::SimParams prm;
-  prm.num_vcs = 33;
+  sim::SimParams vcs, buffers0, buffers_wide, flits0, flits_wide;
+  vcs.num_vcs = 33;
+  buffers0.vc_buffer_flits = 0;
+  buffers_wide.vc_buffer_flits = 65536;
+  flits0.packet_flits = 0;
+  flits_wide.packet_flits = 65536;
   sim::PatternSource src(net->topology(), sim::Pattern::kUniform, 0.1,
-                         prm.packet_flits, 1);
-  EXPECT_THROW(sim::Simulation(*net, prm, src), std::invalid_argument);
+                         vcs.packet_flits, 1);
+  for (const auto& prm : {vcs, buffers0, buffers_wide, flits0, flits_wide}) {
+    EXPECT_THROW(sim::Simulation(*net, prm, src), std::invalid_argument);
+  }
 }
+
+namespace {
+
+enum class CounterTopo { kPsIq, kPsPal, kDf };
+
+// One pinned row: the workload and the three counters it must reproduce.
+struct CounterRow {
+  const char* name;
+  CounterTopo topo;
+  sim::Pattern pattern;
+  sim::PathMode mode;
+  double load;
+  bool faults;  // 5% of links fail at once, mid-measurement
+  std::uint64_t cycles, delivered, flit_hops;
+};
+
+std::shared_ptr<const sim::Network> counter_net(CounterTopo topo) {
+  switch (topo) {
+    case CounterTopo::kPsIq:
+      return polarstar_net({5, 3, core::SupernodeKind::kInductiveQuad, 3});
+    case CounterTopo::kPsPal:
+      return polarstar_net({4, 4, core::SupernodeKind::kPaley, 3});
+    case CounterTopo::kDf:
+      break;
+  }
+  auto t = std::make_shared<const topo::Topology>(
+      topo::dragonfly::build({7, 3, 3}));
+  return std::make_shared<sim::Network>(
+      t, std::make_shared<routing::DragonflyRouting>(t));
+}
+
+// Names the row in gtest's failure messages.
+void PrintTo(const CounterRow& row, std::ostream* os) { *os << row.name; }
+
+class PerfCounters : public ::testing::TestWithParam<CounterRow> {};
+
+}  // namespace
+
+// Long windows on the reduced-scale suite, the sweep benches' SimParams
+// (8 VCs under UGAL, adaptive minpath pick on PolarStar, one hashed
+// minpath on Dragonfly), no collector. Flit-hops are
+// round(avg_hops * delivered) * packet_flits.
+TEST_P(PerfCounters, MatchPinnedValues) {
+  const CounterRow& row = GetParam();
+  const auto net = counter_net(row.topo);
+  sim::SimParams prm;
+  prm.warmup_cycles = 1000;
+  prm.measure_cycles = 8000;
+  prm.drain_cycles = 20000;
+  prm.seed = 7;
+  prm.path_mode = row.mode;
+  prm.num_vcs = row.mode == sim::PathMode::kUgal ? 8 : 4;
+  prm.min_select = row.topo == CounterTopo::kDf ? sim::MinSelect::kSingleHash
+                                                : sim::MinSelect::kAdaptive;
+  fault::FaultSchedule sched;
+  if (row.faults) {
+    fault::ScheduleSpec spec;
+    spec.link_fail_fraction = 0.05;
+    spec.begin_cycle = prm.warmup_cycles + prm.measure_cycles / 2;
+    spec.end_cycle = spec.begin_cycle;
+    sched = fault::FaultSchedule::random(net->topology(), spec, 99);
+    prm.faults = &sched;
+  }
+  const auto src = sim::make_pattern_source(
+      net->topology(), row.pattern, row.load, prm.packet_flits, prm.seed);
+  sim::Simulation s(*net, prm, *src);
+  const sim::SimResult res = s.run();
+  const auto hop_sum = static_cast<std::uint64_t>(
+      std::llround(res.avg_hops * static_cast<double>(res.packets_delivered)));
+  EXPECT_EQ(res.cycles, row.cycles);
+  EXPECT_EQ(res.packets_delivered, row.delivered);
+  EXPECT_EQ(hop_sum * prm.packet_flits, row.flit_hops);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SimcoreCounters, PerfCounters,
+    ::testing::Values(
+        CounterRow{"ps_iq_uniform_min", CounterTopo::kPsIq,
+                   sim::Pattern::kUniform, sim::PathMode::kMinimal, 0.30,
+                   false, 9033, 504008, 5325576},
+        CounterRow{"ps_iq_uniform_ugal", CounterTopo::kPsIq,
+                   sim::Pattern::kUniform, sim::PathMode::kUgal, 0.30, false,
+                   9046, 504684, 5940568},
+        CounterRow{"ps_iq_adversarial_min", CounterTopo::kPsIq,
+                   sim::Pattern::kAdversarial, sim::PathMode::kMinimal, 0.20,
+                   false, 9100, 337905, 3923552},
+        CounterRow{"ps_pal_uniform_min", CounterTopo::kPsPal,
+                   sim::Pattern::kUniform, sim::PathMode::kMinimal, 0.30,
+                   false, 9040, 383930, 3977204},
+        CounterRow{"df_uniform_min", CounterTopo::kDf, sim::Pattern::kUniform,
+                   sim::PathMode::kMinimal, 0.30, false, 9039, 312845,
+                   3298764},
+        CounterRow{"ps_iq_uniform_min_faults", CounterTopo::kPsIq,
+                   sim::Pattern::kUniform, sim::PathMode::kMinimal, 0.30,
+                   true, 9038, 504277, 5410284}),
+    [](const ::testing::TestParamInfo<CounterRow>& info) {
+      return std::string(info.param.name);
+    });

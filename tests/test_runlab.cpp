@@ -108,8 +108,8 @@ TEST(Runner, NetworkOutlivesItsBuilders) {
     net = std::make_shared<sim::Network>(core::shared_topology(ps),
                                          routing::make_polarstar_routing(ps));
   }
-  auto res = runlab::run_point(*net, sim::Pattern::kUniform, 0.1,
-                               short_params());
+  auto res = runlab::run_point(
+      {.net = net.get(), .load = 0.1, .params = short_params(), .trace = {}});
   EXPECT_TRUE(res.stable);
   EXPECT_GT(res.measured_packets, 0u);
 }
@@ -255,11 +255,16 @@ TEST(Runner, ParallelMatchesSerialBitForBit) {
 TEST(Runner, PatternSeedChangesTheTraffic) {
   auto net = small_dragonfly();
   auto prm = short_params(11);
-  auto a = runlab::run_point(*net, sim::Pattern::kPermutation, 0.3, prm);
-  auto b = runlab::run_point(*net, sim::Pattern::kPermutation, 0.3, prm,
-                             /*pattern_seed=*/17);
-  auto c = runlab::run_point(*net, sim::Pattern::kPermutation, 0.3, prm,
-                             runlab::SweepCase::kSameSeed);
+  runlab::PointSpec spec{.net = net.get(),
+                         .pattern = sim::Pattern::kPermutation,
+                         .load = 0.3,
+                         .params = prm,
+                         .trace = {}};
+  auto a = runlab::run_point(spec);
+  spec.pattern_seed = 17;
+  auto b = runlab::run_point(spec);
+  spec.pattern_seed = runlab::kSameSeed;
+  auto c = runlab::run_point(spec);
   EXPECT_TRUE(same_result(a, c));
   EXPECT_FALSE(same_result(a, b));  // a different permutation was drawn
 }

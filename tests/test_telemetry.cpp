@@ -348,7 +348,9 @@ TEST(Telemetry, RunnerTelemetryIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Telemetry, PointSpecMatchesPositionalOverload) {
+// run_point is the runner's serial primitive: a pattern spec must give the
+// result of the Simulation it stands for, pattern seeded from params.seed.
+TEST(Telemetry, PointSpecMatchesDirectSimulation) {
   auto t = std::make_shared<const topo::Topology>(
       topo::dragonfly::build({4, 2, 2}));
   auto net = std::make_shared<sim::Network>(t,
@@ -357,7 +359,9 @@ TEST(Telemetry, PointSpecMatchesPositionalOverload) {
   prm.warmup_cycles = 200;
   prm.measure_cycles = 400;
   prm.seed = 11;
-  auto a = runlab::run_point(*net, sim::Pattern::kUniform, 0.2, prm);
+  sim::PatternSource src(*t, sim::Pattern::kUniform, 0.2, prm.packet_flits,
+                         prm.seed);
+  auto a = sim::Simulation(*net, prm, src).run();
   auto b = runlab::run_point(
       {.net = net.get(), .pattern = sim::Pattern::kUniform, .load = 0.2,
        .params = prm, .pattern_seed = runlab::kSameSeed,

@@ -183,8 +183,8 @@ TEST(PacketTrace, DeliveredTracesAreInternallyConsistent) {
 
   // Tracing is pure observation: the same point without the recorder is
   // bit-identical.
-  const auto plain = runlab::run_point(*net, sim::Pattern::kUniform, 0.2,
-                                       tiny_params());
+  const auto plain = runlab::run_point(
+      {.net = net.get(), .load = 0.2, .params = tiny_params(), .trace = {}});
   EXPECT_EQ(plain.cycles, res.cycles);
   EXPECT_EQ(plain.measured_packets, res.measured_packets);
   EXPECT_EQ(plain.avg_packet_latency, res.avg_packet_latency);
@@ -194,8 +194,8 @@ TEST(PacketTrace, DeliveredTracesAreInternallyConsistent) {
 
 TEST(SimResult, PercentilesAreOrdered) {
   auto net = small_dragonfly();
-  const auto res = runlab::run_point(*net, sim::Pattern::kUniform, 0.2,
-                                     tiny_params());
+  const auto res = runlab::run_point(
+      {.net = net.get(), .load = 0.2, .params = tiny_params(), .trace = {}});
   ASSERT_GT(res.measured_packets, 0u);
   EXPECT_GT(res.p50_packet_latency, 0.0);
   EXPECT_LE(res.p50_packet_latency, res.p99_packet_latency);

@@ -8,14 +8,21 @@
 //     mode:    min min-adaptive ugal        (default min)
 //     loads:   numbers in (0,1]             (default 0.1..0.9)
 //     keys:    vcs= buffers= flits= warmup= measure= drain= seed= link=
+//              (non-negative integers)
+//
+// A malformed argument, or one the simulator rejects (unknown topology,
+// vcs outside [1, 32], buffers or flits outside [1, 65535]), prints usage
+// and exits with status 2.
 //
 // Example:
 //   polarstar_sim PS-IQ uniform ugal 0.2 0.4 0.6 vcs=8 seed=3
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/topology_zoo.h"
@@ -25,13 +32,33 @@
 #include "sim/simulation.h"
 #include "sim/traffic.h"
 
+namespace {
+
+int usage_error(const std::string& msg) {
+  std::cerr << "polarstar_sim: " << msg
+            << "\nusage: polarstar_sim <topo> [pattern] [mode] [loads...] "
+               "[key=value...]\n  patterns: "
+            << polarstar::sim::pattern_names()
+            << "\n  modes:    min, min-adaptive, ugal"
+               "\n  loads:    numbers in (0, 1]"
+               "\n  keys:     vcs= buffers= flits= warmup= measure= drain= "
+               "seed= link=\n";
+  return 2;
+}
+
+// True when the whole of `text` is one number of out's type.
+template <class T>
+bool parse_whole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace polarstar;
-  if (argc < 2) {
-    std::cerr << "usage: polarstar_sim <topo> [pattern] [mode] [loads...] "
-                 "[key=value...]\n";
-    return 1;
-  }
+  if (argc < 2) return usage_error("missing topology");
   const std::string topo_name = argv[1];
   sim::Pattern pattern = sim::Pattern::kUniform;
   sim::SimParams prm;
@@ -46,18 +73,19 @@ int main(int argc, char** argv) {
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
       const std::string key = arg.substr(0, eq);
-      const std::uint64_t val = std::stoull(arg.substr(eq + 1));
-      if (key == "vcs") prm.num_vcs = static_cast<std::uint32_t>(val);
-      else if (key == "buffers") prm.vc_buffer_flits = static_cast<std::uint32_t>(val);
-      else if (key == "flits") prm.packet_flits = static_cast<std::uint32_t>(val);
-      else if (key == "warmup") prm.warmup_cycles = val;
-      else if (key == "measure") prm.measure_cycles = val;
-      else if (key == "drain") prm.drain_cycles = val;
-      else if (key == "seed") prm.seed = val;
-      else if (key == "link") prm.link_latency = static_cast<std::uint32_t>(val);
-      else {
-        std::cerr << "unknown key " << key << "\n";
-        return 1;
+      const std::string_view val = std::string_view(arg).substr(eq + 1);
+      bool ok = false;
+      if (key == "vcs") ok = parse_whole(val, prm.num_vcs);
+      else if (key == "buffers") ok = parse_whole(val, prm.vc_buffer_flits);
+      else if (key == "flits") ok = parse_whole(val, prm.packet_flits);
+      else if (key == "warmup") ok = parse_whole(val, prm.warmup_cycles);
+      else if (key == "measure") ok = parse_whole(val, prm.measure_cycles);
+      else if (key == "drain") ok = parse_whole(val, prm.drain_cycles);
+      else if (key == "seed") ok = parse_whole(val, prm.seed);
+      else if (key == "link") ok = parse_whole(val, prm.link_latency);
+      else return usage_error("unknown key " + key);
+      if (!ok) {
+        return usage_error("bad value '" + std::string(val) + "' for " + key);
       }
     } else if (auto parsed = sim::pattern_from_string(arg)) {
       pattern = *parsed;
@@ -70,22 +98,27 @@ int main(int argc, char** argv) {
       prm.path_mode = sim::PathMode::kUgal;
       prm.num_vcs = std::max(prm.num_vcs, 8u);
     } else {
-      try {
-        loads.push_back(std::stod(arg));
-      } catch (...) {
-        std::cerr << "unrecognized argument " << arg
-                  << "\n  patterns: " << sim::pattern_names()
-                  << "\n  modes:    min, min-adaptive, ugal\n";
-        return 1;
+      double load = 0.0;
+      if (!parse_whole(arg, load)) {
+        return usage_error("unrecognized argument " + arg);
       }
+      if (!(load > 0.0 && load <= 1.0)) {
+        return usage_error("load " + arg + " is not in (0, 1]");
+      }
+      loads.push_back(load);
     }
   }
   if (loads.empty()) loads = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
   prm.min_select =
       adaptive ? sim::MinSelect::kAdaptive : sim::MinSelect::kSingleHash;
 
-  auto topo = std::make_shared<const topo::Topology>(
-      analysis::build_table3(topo_name));
+  std::shared_ptr<const topo::Topology> topo;
+  try {
+    topo = std::make_shared<const topo::Topology>(
+        analysis::build_table3(topo_name));
+  } catch (const std::invalid_argument& e) {
+    return usage_error(e.what());
+  }
   std::shared_ptr<const routing::MinimalRouting> route;
   if (topo_name == "PS-IQ") {
     auto ps = std::make_shared<const core::PolarStar>(core::PolarStar::build(
@@ -107,8 +140,13 @@ int main(int argc, char** argv) {
   for (double load : loads) {
     auto src = sim::make_pattern_source(*topo, pattern, load,
                                         prm.packet_flits, prm.seed);
-    sim::Simulation s(net, prm, *src);
-    auto res = s.run();
+    std::unique_ptr<sim::Simulation> s;
+    try {
+      s = std::make_unique<sim::Simulation>(net, prm, *src);
+    } catch (const std::invalid_argument& e) {
+      return usage_error(e.what());
+    }
+    auto res = s->run();
     std::printf("%s,%s,%s,%.3f,%.2f,%.0f,%.4f,%.3f,%d\n", topo_name.c_str(),
                 sim::to_string(pattern),
                 prm.path_mode == sim::PathMode::kUgal
