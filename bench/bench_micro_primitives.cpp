@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the library's hot primitives:
 // field arithmetic, topology construction, BFS sweeps, analytic routing
-// decisions, partitioner, simulator cycle throughput, and the fault layer's
-// per-epoch survivor-table update.
+// decisions, partitioner, simulator cycle throughput, sim::Network
+// construction and route lookup, and the fault layer's per-epoch
+// survivor-table update.
 #include <benchmark/benchmark.h>
 
 #include "core/polarstar.h"
@@ -13,6 +14,7 @@
 #include "partition/partitioner.h"
 #include "routing/routing.h"
 #include "sim/arrivals.h"
+#include "sim/network.h"
 #include "sim/simulation.h"
 #include "sim/traffic.h"
 
@@ -152,5 +154,43 @@ static void BM_FaultCommit(benchmark::State& state) {
   benchmark::DoNotOptimize(far.epoch());
 }
 BENCHMARK(BM_FaultCommit)->Unit(benchmark::kMicrosecond);
+
+// sim::Network construction over the analytic PolarStar routing at
+// PS-IQ q (11 = full Table 3, 1064 routers): the BFS distance matrix plus
+// the route table derived from its rows.
+static void BM_NetworkBuild(benchmark::State& state) {
+  auto ps = std::make_shared<const core::PolarStar>(core::PolarStar::build(
+      {static_cast<std::uint32_t>(state.range(0)), 3,
+       core::SupernodeKind::kInductiveQuad, 5}));
+  const auto topo = core::shared_topology(ps);
+  const auto route = routing::make_polarstar_routing(ps);
+  for (auto _ : state) {
+    sim::Network net(topo, route);
+    benchmark::DoNotOptimize(net.total_link_ports());
+  }
+}
+BENCHMARK(BM_NetworkBuild)->Arg(5)->Arg(7)->Arg(11)->Unit(
+    benchmark::kMillisecond);
+
+// One route_ports + distance lookup on full Table 3 PS-IQ at a pseudo-random
+// (s, d) pair: the per-hop query of the engine's dominant switch-allocation
+// phase.
+static void BM_RoutePortsLookup(benchmark::State& state) {
+  auto ps = std::make_shared<const core::PolarStar>(core::PolarStar::build(
+      {11, 3, core::SupernodeKind::kInductiveQuad, 5}));
+  const sim::Network net(core::shared_topology(ps),
+                         routing::make_polarstar_routing(ps));
+  const std::uint64_t n = net.num_routers();
+  std::uint64_t x = 1, acc = 0;
+  for (auto _ : state) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;  // LCG
+    const auto s = static_cast<graph::Vertex>((x >> 33) % n);
+    const auto d = static_cast<graph::Vertex>((x >> 11) % n);
+    const auto ports = net.route_ports(s, d);
+    acc += net.distance(s, d) + (ports.empty() ? 0 : ports.front());
+  }
+  benchmark::DoNotOptimize(acc);
+}
+BENCHMARK(BM_RoutePortsLookup);
 
 BENCHMARK_MAIN();

@@ -1,5 +1,7 @@
 #include "core/polarstar_routing.h"
 
+#include "graph/algorithms.h"
+
 namespace polarstar::core {
 
 using graph::Vertex;
@@ -106,12 +108,10 @@ std::uint32_t PolarStarRouting::distance(Vertex src, Vertex dst) const {
 
 void PolarStarRouting::next_hops(Vertex cur, Vertex dst,
                                  std::vector<Vertex>& out) const {
-  const std::uint32_t d = distance(cur, dst);
-  if (d == 0) return;
-  const auto& g = ps_->graph();
-  for (Vertex w : g.neighbors(cur)) {
-    if (distance(w, dst) + 1 == d) out.push_back(w);
-  }
+  const auto nb = ps_->graph().neighbors(cur);
+  graph::for_each_closer_neighbor(
+      nb, distance(cur, dst), [&](Vertex w) { return distance(w, dst); },
+      [&](std::uint32_t i) { out.push_back(nb[i]); });
 }
 
 std::size_t PolarStarRouting::storage_entries() const {

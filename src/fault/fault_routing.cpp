@@ -70,11 +70,11 @@ void FaultAwareRouting::commit() {
 
 void FaultAwareRouting::survivor_hops(Vertex cur, Vertex dst,
                                       std::vector<Vertex>& out) const {
-  const std::uint32_t d = dist_.distance(cur, dst);
-  if (d == 0 || d == graph::kUnreachable) return;
-  for (const Vertex w : survivor_.neighbors(cur)) {
-    if (dist_.distance(w, dst) == d - 1) out.push_back(w);
-  }
+  const auto nb = survivor_.neighbors(cur);
+  graph::for_each_closer_neighbor(
+      nb, dist_.distance(cur, dst),
+      [&](Vertex w) { return dist_.distance(w, dst); },
+      [&](std::uint32_t i) { out.push_back(nb[i]); });
 }
 
 bool FaultAwareRouting::link_alive(Vertex u, Vertex v) const {

@@ -104,8 +104,8 @@ class FaultAwareRouting final : public routing::MinimalRouting {
     return u < v ? graph::Edge{u, v} : graph::Edge{v, u};
   }
   /// Appends every survivor neighbour of cur one hop closer to dst, in
-  /// sorted order -- graph::MinimalNextHops of the survivor graph, on
-  /// demand. Out of line: it is survivor_filter's rare fallback.
+  /// sorted order (graph::for_each_closer_neighbor over the survivor
+  /// graph). Out of line: it is survivor_filter's rare fallback.
   void survivor_hops(graph::Vertex cur, graph::Vertex dst,
                      std::vector<graph::Vertex>& out) const;
 

@@ -190,6 +190,10 @@ std::size_t DistanceMatrix::update(const Graph& g,
                                    std::span<const Edge> removed,
                                    std::span<const Edge> added,
                                    unsigned num_threads) {
+  if (g.num_vertices() > kMaxVertices) {
+    throw std::length_error(
+        "DistanceMatrix: more than 0xFFFF vertices overflow uint16 distances");
+  }
   const bool resized = n_ != g.num_vertices();
   if (resized) {
     n_ = g.num_vertices();
@@ -214,36 +218,25 @@ std::size_t DistanceMatrix::update(const Graph& g,
 
 MinimalNextHops::MinimalNextHops(const Graph& g, const DistanceMatrix& dist)
     : n_(g.num_vertices()) {
+  const auto closer = [&](Vertex s, Vertex d, auto&& emit) {
+    const auto nb = g.neighbors(s);
+    for_each_closer_neighbor(
+        nb, dist.distance(s, d), [&](Vertex w) { return dist.distance(w, d); },
+        [&](std::uint32_t i) { emit(nb[i]); });
+  };
+  // First sweep: count, so hops_ is allocated once; second sweep: fill.
+  std::size_t total = 0;
+  for (Vertex s = 0; s < n_; ++s) {
+    for (Vertex d = 0; d < n_; ++d) closer(s, d, [&](Vertex) { ++total; });
+  }
+  hops_.reserve(total);
   ranges_.resize(static_cast<std::size_t>(n_) * n_);
-  // First pass: counts; second pass: fill. Keeps hops_ contiguous.
-  std::vector<std::uint32_t> counts(static_cast<std::size_t>(n_) * n_, 0);
   for (Vertex s = 0; s < n_; ++s) {
     for (Vertex d = 0; d < n_; ++d) {
-      if (s == d) continue;
-      std::uint16_t sd = dist.at(s, d);
-      if (sd == std::numeric_limits<std::uint16_t>::max()) continue;
-      std::uint32_t c = 0;
-      for (Vertex w : g.neighbors(s)) {
-        if (dist.at(w, d) + 1 == sd) ++c;
-      }
-      counts[static_cast<std::size_t>(s) * n_ + d] = c;
-    }
-  }
-  std::uint32_t total = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    ranges_[i] = {total, total + counts[i]};
-    total += counts[i];
-  }
-  hops_.resize(total);
-  for (Vertex s = 0; s < n_; ++s) {
-    for (Vertex d = 0; d < n_; ++d) {
-      auto [b, e] = ranges_[static_cast<std::size_t>(s) * n_ + d];
-      if (b == e) continue;
-      std::uint16_t sd = dist.at(s, d);
-      std::uint32_t w_idx = b;
-      for (Vertex w : g.neighbors(s)) {
-        if (dist.at(w, d) + 1 == sd) hops_[w_idx++] = w;
-      }
+      const auto b = static_cast<std::uint32_t>(hops_.size());
+      closer(s, d, [&](Vertex w) { hops_.push_back(w); });
+      ranges_[static_cast<std::size_t>(s) * n_ + d] = {
+          b, static_cast<std::uint32_t>(hops_.size())};
     }
   }
 }

@@ -47,8 +47,27 @@ PathStats path_stats(const Graph& g, unsigned num_threads = 0);
 std::uint32_t diameter(const Graph& g);
 double avg_path_length(const Graph& g);
 
+/// The minimal-routing rule, one body: calls emit(i) for each index i of
+/// `nbrs`, in order, whose vertex is one hop closer to the destination --
+/// dist(nbrs[i]) + 1 == d, where d is the current vertex's distance to it
+/// and dist maps a vertex to its distance to the same destination
+/// (kUnreachable for none). Emits nothing when d is 0 or kUnreachable.
+/// MinimalNextHops, the fault layer's survivor fallback, the analytic
+/// PolarStar routing and sim::Network's route table all call this.
+template <typename Dist, typename Emit>
+void for_each_closer_neighbor(std::span<const Vertex> nbrs, std::uint32_t d,
+                              Dist&& dist, Emit&& emit) {
+  if (d == 0 || d == kUnreachable) return;
+  for (std::uint32_t i = 0; i < nbrs.size(); ++i) {
+    if (dist(nbrs[i]) + 1 == d) emit(i);
+  }
+}
+
 /// For each (src, dst): distance table. n^2 entries of uint16; only suitable
 /// for graphs up to a few thousand vertices (all simulated configs qualify).
+/// A graph of more than 0xFFFF vertices throws std::length_error before
+/// anything is allocated, which keeps every finite distance below the
+/// unreachable marker 0xFFFF.
 class DistanceMatrix {
  public:
   /// An empty matrix (size 0): its first update() is a full sweep.
@@ -67,7 +86,8 @@ class DistanceMatrix {
   /// -- and re-runs BFS otherwise. A matrix of another size (an empty
   /// one) re-runs every row. The result equals DistanceMatrix(g) exactly.
   /// Returns the number of rows re-run. `num_threads` 0 means hardware
-  /// concurrency.
+  /// concurrency. Throws std::length_error, leaving the matrix unchanged,
+  /// for a graph of more than kMaxVertices vertices.
   std::size_t update(const Graph& g, std::span<const Edge> removed,
                      std::span<const Edge> added, unsigned num_threads = 0);
 
@@ -81,6 +101,9 @@ class DistanceMatrix {
   }
   Vertex size() const { return n_; }
 
+  /// The largest graph a matrix holds: a finite distance is below n.
+  static constexpr Vertex kMaxVertices = 0xFFFF;
+
  private:
   static constexpr std::uint16_t kNone = 0xFFFF;  // unreachable
 
@@ -92,8 +115,9 @@ class DistanceMatrix {
 };
 
 /// All minimal next hops: next(src, dst) = every neighbor w of src with
-/// dist(w, dst) == dist(src, dst) - 1. This is the "all minpaths stored in a
-/// routing table" scheme the paper attributes to Spectralfly/Bundlefly.
+/// dist(w, dst) == dist(src, dst) - 1 (for_each_closer_neighbor). This is
+/// the "all minpaths stored in a routing table" scheme the paper
+/// attributes to Spectralfly/Bundlefly.
 class MinimalNextHops {
  public:
   MinimalNextHops(const Graph& g, const DistanceMatrix& dist);

@@ -55,16 +55,29 @@ class MinimalRouting {
   virtual std::size_t storage_entries() const = 0;
 
   virtual std::string name() const = 0;
+
+  /// The distance matrix of the router graph when this routing is
+  /// graph-minimal, nullptr otherwise (the default). Non-null promises
+  /// that distance() equals the matrix on every pair and that next_hops()
+  /// appends exactly the neighbours one hop closer, in sorted-neighbour
+  /// order (graph::for_each_closer_neighbor). sim::Network then derives
+  /// its route table from the matrix rows instead of querying every pair.
+  /// May be built on request; callers keep it only while they need it.
+  virtual std::shared_ptr<const graph::DistanceMatrix> minimal_distances()
+      const {
+    return nullptr;
+  }
 };
 
 /// All-minpath table routing over an arbitrary graph.
 class TableRouting final : public MinimalRouting {
  public:
   explicit TableRouting(const graph::Graph& g)
-      : dist_(g), hops_(g, dist_) {}
+      : dist_(std::make_shared<const graph::DistanceMatrix>(g)),
+        hops_(g, *dist_) {}
 
   std::uint32_t distance(graph::Vertex src, graph::Vertex dst) const override {
-    return dist_.distance(src, dst);
+    return dist_->distance(src, dst);
   }
   void next_hops(graph::Vertex cur, graph::Vertex dst,
                  std::vector<graph::Vertex>& out) const override {
@@ -75,9 +88,14 @@ class TableRouting final : public MinimalRouting {
     return hops_.storage_entries();
   }
   std::string name() const override { return "table-min"; }
+  /// The matrix the table was derived from, shared rather than copied.
+  std::shared_ptr<const graph::DistanceMatrix> minimal_distances()
+      const override {
+    return dist_;
+  }
 
  private:
-  graph::DistanceMatrix dist_;
+  std::shared_ptr<const graph::DistanceMatrix> dist_;  // init before hops_
   graph::MinimalNextHops hops_;
 };
 
@@ -100,6 +118,13 @@ class PolarStarAnalyticRouting final : public MinimalRouting {
     return impl_.storage_entries();
   }
   std::string name() const override { return "polarstar-analytic"; }
+  /// A fresh single-thread BFS matrix of the PolarStar graph: the analytic
+  /// distance equals BFS on every pair (tests/test_routing_analytic.cpp).
+  /// Built on request only; the routing itself stays table-free.
+  std::shared_ptr<const graph::DistanceMatrix> minimal_distances()
+      const override {
+    return std::make_shared<const graph::DistanceMatrix>(ps_->graph(), 1);
+  }
 
   const std::shared_ptr<const core::PolarStar>& polarstar() const {
     return ps_;

@@ -40,34 +40,67 @@ Network::Network(std::shared_ptr<const topo::Topology> topo,
         reverse_port_[link];
   }
 
-  // Flatten distances and minimal next hops into one entry per pair (the
-  // DistanceMatrix narrowing convention: graph::kUnreachable <-> 0xFFFF;
-  // no pristine diameter comes near it).
+  // Flatten distances and minimal next hops into one entry per pair. A
+  // graph-minimal routing hands over its distance matrix, and each pair's
+  // ports are the link ports one hop closer (port order is sorted-neighbour
+  // order, so no port_toward search); any other routing is asked pair by
+  // pair.
   routes_.resize(static_cast<std::size_t>(n_) * n_);
-  std::vector<Vertex> hops;
-  for (Vertex s = 0; s < n_; ++s) {
-    for (Vertex d = 0; d < n_; ++d) {
-      Route& r = routes_[static_cast<std::size_t>(s) * n_ + d];
-      const std::uint32_t dist = routing_->distance(s, d);
-      if (dist != graph::kUnreachable && dist >= 0xFFFFu) {
-        throw std::logic_error("Network: routing distance overflows uint16");
+  std::vector<std::uint16_t> ports;
+  if (const auto dist = routing_->minimal_distances()) {
+    if (dist->size() != n_) {
+      throw std::logic_error("Network: distance matrix size != router count");
+    }
+    for (Vertex s = 0; s < n_; ++s) {
+      const auto nb = topo_->g.neighbors(s);
+      for (Vertex d = 0; d < n_; ++d) {
+        const std::uint32_t sd = dist->distance(s, d);
+        ports.clear();
+        graph::for_each_closer_neighbor(
+            nb, sd, [&](Vertex w) { return dist->distance(w, d); },
+            [&](std::uint32_t p) {
+              ports.push_back(static_cast<std::uint16_t>(p));
+            });
+        set_route(s, d, sd, ports);
       }
-      r.dist = dist == graph::kUnreachable ? std::uint16_t{0xFFFFu}
-                                           : static_cast<std::uint16_t>(dist);
-      hops.clear();
-      if (s != d) routing_->next_hops(s, d, hops);
-      r.count = static_cast<std::uint16_t>(hops.size());
-      std::uint16_t* out = r.ports;
-      if (hops.size() > kInlinePorts) {
-        const auto offset = static_cast<std::uint32_t>(overflow_ports_.size());
-        r.ports[0] = static_cast<std::uint16_t>(offset);
-        r.ports[1] = static_cast<std::uint16_t>(offset >> 16);
-        overflow_ports_.resize(offset + hops.size());
-        out = overflow_ports_.data() + offset;
+    }
+  } else {
+    std::vector<Vertex> hops;
+    for (Vertex s = 0; s < n_; ++s) {
+      for (Vertex d = 0; d < n_; ++d) {
+        hops.clear();
+        if (s != d) routing_->next_hops(s, d, hops);
+        ports.clear();
+        for (Vertex w : hops) {
+          ports.push_back(static_cast<std::uint16_t>(port_toward(s, w)));
+        }
+        set_route(s, d, routing_->distance(s, d), ports);
       }
-      for (Vertex w : hops) *out++ = static_cast<std::uint16_t>(port_toward(s, w));
     }
   }
+}
+
+void Network::set_route(Vertex s, Vertex d, std::uint32_t dist,
+                        std::span<const std::uint16_t> ports) {
+  // The DistanceMatrix narrowing convention: graph::kUnreachable <->
+  // 0xFFFF. A matrix never holds a larger distance; a per-pair routing
+  // could.
+  if (dist != graph::kUnreachable && dist >= 0xFFFFu) {
+    throw std::logic_error("Network: routing distance overflows uint16");
+  }
+  Route& r = routes_[static_cast<std::size_t>(s) * n_ + d];
+  r.dist = dist == graph::kUnreachable ? std::uint16_t{0xFFFFu}
+                                       : static_cast<std::uint16_t>(dist);
+  r.count = static_cast<std::uint16_t>(ports.size());
+  std::uint16_t* out = r.ports;
+  if (ports.size() > kInlinePorts) {
+    const auto offset = static_cast<std::uint32_t>(overflow_ports_.size());
+    r.ports[0] = static_cast<std::uint16_t>(offset);
+    r.ports[1] = static_cast<std::uint16_t>(offset >> 16);
+    overflow_ports_.resize(offset + ports.size());
+    out = overflow_ports_.data() + offset;
+  }
+  std::copy(ports.begin(), ports.end(), out);
 }
 
 std::uint32_t Network::port_toward(Vertex r, Vertex u) const {

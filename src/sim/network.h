@@ -5,6 +5,21 @@
 // arrays so the cycle loop never chases the shared_ptr/virtual routing
 // chain per hop.
 //
+// The route table is built one of two ways, chosen by the routing itself
+// (the Network never inspects the routing's type):
+//   - Rows. A graph-minimal routing (TableRouting, PolarStarAnalyticRouting)
+//     hands over a distance matrix through
+//     MinimalRouting::minimal_distances(). Pair (s, d) then gets the link
+//     ports p of s, in port order, with
+//     dist(neighbor_at(s, p), d) + 1 == dist(s, d)
+//     (graph::for_each_closer_neighbor), which is exactly what such a
+//     routing's next_hops() returns, in the same order.
+//   - Pairs. Any other routing (DragonflyRouting's hierarchical scheme,
+//     decorators, test adapters) returns nullptr and is asked for
+//     distance() and next_hops() on every pair.
+// Both give the same table for a graph-minimal routing (the `perf` ctest
+// label builds every simulated family both ways and compares them).
+//
 // The route and distance tables are a *simulator acceleration*: the
 // storage the paper compares is reported by
 // MinimalRouting::storage_entries(), not by this cache. Every flattened
@@ -111,6 +126,10 @@ class Network {
   std::size_t port_base(graph::Vertex r) const { return port_base_[r]; }
 
  private:
+  /// Stores pair (s, d)'s narrowed distance and its candidate ports.
+  void set_route(graph::Vertex s, graph::Vertex d, std::uint32_t dist,
+                 std::span<const std::uint16_t> ports);
+
   // One (src, dst) entry: distance plus candidate ports, so a lookup is
   // one 8-byte load. Lists of up to kInlinePorts ports (most pairs of a
   // diameter-3 network) sit inline; longer ones in overflow_ports_, whose

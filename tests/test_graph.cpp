@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <random>
+#include <stdexcept>
 
 #include "graph/algorithms.h"
 #include "graph/graph.h"
@@ -166,6 +167,18 @@ TEST(Algorithms, DistanceMatrixUpdateRerunsOnlyBrokenRows) {
   EXPECT_EQ(dm.distance(0, 1), g::kUnreachable);
   EXPECT_EQ(dm.update(ring, {}, halves, 1), 8u);
   EXPECT_TRUE(same(dm, g::DistanceMatrix(ring)));
+}
+
+// uint16 entries cannot hold a distance of 0xFFFF (the unreachable
+// marker) or more, so a graph that could have one is refused before the
+// n^2 table is allocated -- an edgeless graph keeps this test cheap.
+TEST(Algorithms, DistanceMatrixRefusesMoreThan0xFFFFVertices) {
+  const Graph big = Graph::from_edges(0x10000, {});
+  EXPECT_THROW(g::DistanceMatrix(big, 1), std::length_error);
+  g::DistanceMatrix dm(cycle_graph(5), 1);
+  EXPECT_THROW(dm.update(big, {}, {}, 1), std::length_error);
+  EXPECT_EQ(dm.size(), 5u);  // a refused update leaves the matrix as it was
+  EXPECT_EQ(dm.distance(0, 2), 2u);
 }
 
 TEST(Algorithms, MinimalNextHops) {
