@@ -142,10 +142,8 @@ inline NamedTopo make_table(const std::string& name, topo::Topology t,
 inline std::vector<NamedTopo> simulation_suite() {
   std::vector<NamedTopo> suite;
   if (full_scale()) {
-    suite.push_back(make_polarstar(
-        "PS-IQ", {11, 3, core::SupernodeKind::kInductiveQuad, 5}));
-    suite.push_back(
-        make_polarstar("PS-Pal", {8, 6, core::SupernodeKind::kPaley, 5}));
+    suite.push_back(make_polarstar("PS-IQ", analysis::kTable3PsIq));
+    suite.push_back(make_polarstar("PS-Pal", analysis::kTable3PsPal));
     suite.push_back(
         make_table("BF", core::bundlefly::build({7, 9, 5}), true, true));
     suite.push_back(

@@ -36,27 +36,27 @@ int main(int argc, char** argv) {
   }
   const sim::Pattern pattern = *parsed;
 
-  auto topo = std::make_shared<const topo::Topology>(
-      analysis::build_table3(topo_name));
+  // PolarStar rows take the topology and the paper's analytic routing from
+  // one build; DF uses its hierarchical routing, everything else
+  // all-minpath tables.
+  std::shared_ptr<const topo::Topology> topo;
+  std::shared_ptr<const routing::MinimalRouting> route;
+  if (const auto cfg = analysis::table3_polarstar(topo_name)) {
+    auto ps =
+        std::make_shared<const core::PolarStar>(core::PolarStar::build(*cfg));
+    topo = core::shared_topology(ps);
+    route = routing::make_polarstar_routing(ps);
+  } else {
+    topo = std::make_shared<const topo::Topology>(
+        analysis::build_table3(topo_name));
+    if (topo_name == "DF") {
+      route = std::make_shared<routing::DragonflyRouting>(topo);
+    } else {
+      route = routing::make_table_routing(topo->g);
+    }
+  }
   std::cout << "topology: " << topo->name << " (" << topo->num_routers()
             << " routers, " << topo->num_endpoints() << " endpoints)\n";
-
-  // PolarStar rows use the paper's analytic routing; everything else uses
-  // all-minpath tables.
-  std::shared_ptr<const routing::MinimalRouting> route;
-  if (topo_name == "PS-IQ") {
-    auto ps = std::make_shared<const core::PolarStar>(core::PolarStar::build(
-        {11, 3, core::SupernodeKind::kInductiveQuad, 5}));
-    route = routing::make_polarstar_routing(ps);
-  } else if (topo_name == "PS-Pal") {
-    auto ps = std::make_shared<const core::PolarStar>(
-        core::PolarStar::build({8, 6, core::SupernodeKind::kPaley, 5}));
-    route = routing::make_polarstar_routing(ps);
-  } else if (topo_name == "DF") {
-    route = std::make_shared<routing::DragonflyRouting>(topo);
-  } else {
-    route = routing::make_table_routing(topo->g);
-  }
   std::cout << "routing state: " << route->storage_entries() << " entries ("
             << route->name() << ")\n";
 

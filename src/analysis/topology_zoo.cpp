@@ -180,15 +180,15 @@ std::optional<Topology> build_largest(Family f, std::uint32_t radix,
   return std::nullopt;
 }
 
+std::optional<core::PolarStarConfig> table3_polarstar(const std::string& name) {
+  if (name == "PS-IQ") return kTable3PsIq;
+  if (name == "PS-Pal") return kTable3PsPal;
+  return std::nullopt;
+}
+
 topo::Topology build_table3(const std::string& name) {
-  if (name == "PS-IQ") {
-    return core::PolarStar::build(
-               {11, 3, core::SupernodeKind::kInductiveQuad, 5})
-        .topology();
-  }
-  if (name == "PS-Pal") {
-    return core::PolarStar::build({8, 6, core::SupernodeKind::kPaley, 5})
-        .topology();
+  if (const auto cfg = table3_polarstar(name)) {
+    return core::PolarStar::build(*cfg).topology();
   }
   if (name == "BF") return core::bundlefly::build({7, 9, 5});
   if (name == "HX") return topo::hyperx::build({{9, 9, 8}, 8});

@@ -7,6 +7,7 @@
 #include <optional>
 #include <string>
 
+#include "core/polarstar.h"
 #include "topo/topology.h"
 
 namespace polarstar::analysis {
@@ -32,6 +33,18 @@ const char* to_string(Family f);
 std::optional<topo::Topology> build_largest(Family f, std::uint32_t radix,
                                             std::uint64_t max_order,
                                             std::uint64_t seed = 7);
+
+/// Table 3's two PolarStar rows. Front ends that simulate them build one
+/// PolarStar from these and take both the topology and the analytic
+/// routing from it.
+inline constexpr core::PolarStarConfig kTable3PsIq{
+    11, 3, core::SupernodeKind::kInductiveQuad, 5};
+inline constexpr core::PolarStarConfig kTable3PsPal{
+    8, 6, core::SupernodeKind::kPaley, 5};
+
+/// The PolarStar configuration of Table 3 row `name` ("PS-IQ" or
+/// "PS-Pal"); nullopt for every other row.
+std::optional<core::PolarStarConfig> table3_polarstar(const std::string& name);
 
 /// The eight Table 3 configurations by row name: "PS-IQ", "PS-Pal", "BF",
 /// "HX", "DF", "SF", "MF", "FT". Throws on unknown name.

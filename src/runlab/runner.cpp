@@ -178,28 +178,11 @@ void write_telemetry(std::ostream& os, const telemetry::Summary& t) {
        << ", \"peak_router_flits\": " << t.occupancy.peak_router_flits
        << ", \"avg_router_flits\": " << t.occupancy.avg_router_flits << "}";
   }
-  if (t.has_latency) {
-    sep();
-    os << "\"latency\": {\"packets\": " << t.latency.packets
-       << ", \"p50\": " << t.latency.p50 << ", \"p90\": " << t.latency.p90
-       << ", \"p99\": " << t.latency.p99 << ", \"p999\": " << t.latency.p999
-       << "}";
-  }
   if (t.has_trace) {
     sep();
     os << "\"trace\": {\"sampled\": " << t.trace.sampled_packets
        << ", \"delivered\": " << t.trace.delivered
        << ", \"period\": " << t.trace.sample_period << "}";
-  }
-  if (t.has_fault) {
-    sep();
-    os << "\"fault\": {\"events\": " << t.fault.events
-       << ", \"link_down\": " << t.fault.link_down
-       << ", \"router_down\": " << t.fault.router_down
-       << ", \"repairs\": " << t.fault.repairs
-       << ", \"dropped\": " << t.fault.dropped_packets
-       << ", \"retransmits\": " << t.fault.retransmits
-       << ", \"lost\": " << t.fault.lost_packets << "}";
   }
   if (t.has_timeseries) {
     sep();
@@ -508,12 +491,12 @@ void ExperimentRunner::flush_json() {
   if (json_path_.empty()) return;
   std::ofstream os(json_path_, std::ios::trunc);
   if (!os) return;  // unwritable path: drop telemetry, never fail the run
-  // Schema 8 (EXPERIMENTS.md "POLARSTAR_JSON schema" lists every field):
-  // {"schema": 8, "points": [...], optional "profile": {...}}. Each point
+  // Schema 9 (EXPERIMENTS.md "POLARSTAR_JSON schema" lists every field):
+  // {"schema": 9, "points": [...], optional "profile": {...}}. Each point
   // carries its identity and SimResult columns plus optional "workload",
   // "collective", "fault" and "telemetry" blocks; "profile" appears when
   // the runner profiled.
-  os << "{\n\"schema\": 8,\n\"points\": [\n";
+  os << "{\n\"schema\": 9,\n\"points\": [\n";
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const auto& r = records_[i];
     const auto& res = r.result;
@@ -529,6 +512,7 @@ void ExperimentRunner::flush_json() {
        << ", \"deadlock\": " << (res.deadlock ? "true" : "false")
        << ", \"avg_latency\": " << res.avg_packet_latency
        << ", \"p50_latency\": " << res.p50_packet_latency
+       << ", \"p90_latency\": " << res.p90_packet_latency
        << ", \"p99_latency\": " << res.p99_packet_latency
        << ", \"p999_latency\": " << res.p999_packet_latency
        << ", \"avg_hops\": " << res.avg_hops

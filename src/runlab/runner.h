@@ -74,7 +74,7 @@ struct SweepCase {
   /// Flight-recorder sampling for every point of this case. Disabled by
   /// default; when POLARSTAR_TRACE is set the runner samples cases without
   /// an explicit filter at kDefaultTracePeriod.
-  telemetry::PacketFilter trace;
+  telemetry::PacketFilter trace{};
   /// Time-series metrics interval (cycles) for every point of this case:
   /// a telemetry::TimeSeriesCollector rides along and its interval records
   /// land in SimResult::telemetry ("timeseries" JSON block, Perfetto
@@ -108,7 +108,7 @@ struct PointSpec {
   /// When enabled, a PacketTraceCollector rides along and the sampled
   /// flight records come back in SimResult::packet_traces (and, under
   /// faults, failure instants in SimResult::fault_marks).
-  telemetry::PacketFilter trace;
+  telemetry::PacketFilter trace{};
   /// When non-zero, a telemetry::TimeSeriesCollector rides along and the
   /// interval records come back in SimResult::telemetry.timeseries.
   std::uint32_t metrics_interval = 0;

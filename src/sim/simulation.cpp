@@ -351,7 +351,7 @@ std::uint32_t Simulation::new_packet(std::uint64_t src_ep, std::uint64_t dst_ep,
       traced_.resize(idx + 1, 0);
       trace_arrival_.resize(idx + 1, 0);
     }
-    traced_[idx] = trace_filter_.matches(pk.id, src_ep, dst_ep) ? 1 : 0;
+    traced_[idx] = trace_filter_.matches(pk.id) ? 1 : 0;
     if (traced_[idx]) {
       trace_arrival_[idx] = cycle_;  // hop-0 wait counts from birth
       collector_->on_packet_injected(pk, cycle_);
@@ -1448,6 +1448,7 @@ SimResult Simulation::collect(std::uint64_t cycles) {
       return static_cast<std::ptrdiff_t>(q * (n - 1));
     };
     res.p50_packet_latency = latency_samples_[rank(0.50)];
+    res.p90_packet_latency = latency_samples_[rank(0.90)];
     res.p99_packet_latency = latency_samples_[rank(0.99)];
     res.p999_packet_latency = latency_samples_[rank(0.999)];
   }

@@ -150,10 +150,11 @@ struct SimResult {
   std::uint64_t packets_delivered = 0;
   std::uint64_t measured_packets = 0;
   double avg_packet_latency = 0.0;
-  /// Exact percentiles over the measured packets (one sorted pass of the
-  /// per-packet samples; p99 keeps the historical index convention
-  /// sample[floor(q * (n - 1))]).
+  /// Exact percentiles over the measured packets: one sorted pass of the
+  /// per-packet samples, each read at sample[floor(q * (n - 1))]. The only
+  /// latency percentiles the repo computes (telemetry does not recount).
   double p50_packet_latency = 0.0;
+  double p90_packet_latency = 0.0;
   double p99_packet_latency = 0.0;
   double p999_packet_latency = 0.0;
   double avg_hops = 0.0;

@@ -13,11 +13,9 @@
 // coupling point between the two libraries.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "telemetry/summary.h"
 
@@ -106,44 +104,26 @@ struct OccupancySnapshot {
 };
 
 /// Deterministic packet-sampling predicate for the flight-recorder hooks:
-/// a packet is traced when its id is a multiple of `sample_period`, or its
-/// (src, dst) endpoint pair is on the watch list. Sampling by id keeps
-/// full-scale runs cheap and is reproducible across thread counts (ids are
-/// assigned in injection order, which is part of the deterministic run).
+/// a packet is traced when its id is a multiple of `sample_period`.
+/// Sampling by id keeps full-scale runs cheap and is reproducible across
+/// thread counts (ids are assigned in injection order, which is part of the
+/// deterministic run).
 struct PacketFilter {
   /// Trace every packet whose id % sample_period == 0 (0 = none).
   std::uint32_t sample_period = 0;
-  /// (src_endpoint, dst_endpoint) pairs always traced regardless of id.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> watch;
 
-  bool enabled() const { return sample_period != 0 || !watch.empty(); }
+  bool enabled() const { return sample_period != 0; }
 
-  bool matches(std::uint64_t id, std::uint64_t src_ep,
-               std::uint64_t dst_ep) const {
-    if (sample_period != 0 && id % sample_period == 0) return true;
-    return std::find(watch.begin(), watch.end(),
-                     std::make_pair(src_ep, dst_ep)) != watch.end();
+  bool matches(std::uint64_t id) const {
+    return sample_period != 0 && id % sample_period == 0;
   }
 
   /// The least selective of two filters (what the simulator must observe so
-  /// both subscribers see their packets). A gcd period over-approximates --
-  /// collectors re-check their own filter on delivered events.
+  /// both subscribers see their packets): the gcd period, a superset of
+  /// both id sets -- collectors re-check their own filter on every event.
+  /// gcd(0, p) == p, so a disabled side never widens the other.
   static PacketFilter merge(const PacketFilter& a, const PacketFilter& b) {
-    PacketFilter m;
-    if (a.sample_period == 0 || b.sample_period == 0) {
-      m.sample_period = a.sample_period + b.sample_period;
-    } else {
-      std::uint32_t x = a.sample_period, y = b.sample_period;
-      while (y != 0) {
-        const std::uint32_t t = x % y;
-        x = y;
-        y = t;
-      }
-      m.sample_period = x;
-    }
-    m.watch = a.watch;
-    m.watch.insert(m.watch.end(), b.watch.begin(), b.watch.end());
-    return m;
+    return {std::gcd(a.sample_period, b.sample_period)};
   }
 };
 

@@ -3,24 +3,10 @@
 #include <algorithm>
 #include <numeric>
 
-#include "fault/schedule.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
 
 namespace polarstar::telemetry {
-
-namespace {
-
-std::uint64_t gcd64(std::uint64_t a, std::uint64_t b) {
-  while (b != 0) {
-    const std::uint64_t t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------- links ---
 
@@ -30,23 +16,12 @@ void LinkHistogramCollector::on_run_begin(const sim::Network& net,
                                           std::uint64_t measure_end) {
   measure_begin_ = measure_begin;
   measure_end_ = measure_end;
-  num_links_ = net.total_link_ports();
-  totals_.assign(num_links_, 0);
-  epochs_.clear();
+  totals_.assign(net.total_link_ports(), 0);
 }
 
 void LinkHistogramCollector::on_link_flit(std::size_t link_index,
                                           std::uint64_t cycle) {
   if (cycle >= measure_begin_ && cycle < measure_end_) ++totals_[link_index];
-  if (epoch_cycles_ == 0) return;
-  const std::size_t e = static_cast<std::size_t>(cycle / epoch_cycles_);
-  if (e >= epochs_.size()) {
-    epochs_.resize(e + 1);
-    for (auto& h : epochs_) {
-      if (h.empty()) h.assign(num_links_, 0);
-    }
-  }
-  ++epochs_[e][link_index];
 }
 
 void LinkHistogramCollector::on_run_end(std::uint64_t /*cycles*/,
@@ -61,15 +36,15 @@ void LinkHistogramCollector::on_run_end(std::uint64_t /*cycles*/,
 void LinkHistogramCollector::finish(Summary& out) const {
   out.has_link = true;
   auto& l = out.link;
-  l.num_links = num_links_;
+  l.num_links = totals_.size();
   l.total_flits = std::accumulate(totals_.begin(), totals_.end(),
                                   std::uint64_t{0});
   const std::uint64_t window = window_cycles();
-  if (num_links_ == 0 || window == 0) return;
+  if (l.num_links == 0 || window == 0) return;
   const std::uint64_t max_flits =
       *std::max_element(totals_.begin(), totals_.end());
   l.avg_load = static_cast<double>(l.total_flits) /
-               (static_cast<double>(num_links_) * static_cast<double>(window));
+               (static_cast<double>(l.num_links) * static_cast<double>(window));
   l.max_load = static_cast<double>(max_flits) / static_cast<double>(window);
   l.max_avg_ratio = l.avg_load > 0 ? l.max_load / l.avg_load : 0.0;
 }
@@ -299,53 +274,6 @@ void TimeSeriesCollector::finish(Summary& out) const {
   out.timeseries.intervals = intervals_;
 }
 
-// --------------------------------------------------------------- faults ---
-
-void FaultCollector::on_run_begin(const sim::Network& /*net*/,
-                                  const sim::SimParams& /*prm*/,
-                                  std::uint64_t /*measure_begin*/,
-                                  std::uint64_t /*measure_end*/) {
-  sum_ = FaultSummary{};
-}
-
-void FaultCollector::on_fault(const fault::FaultEvent& ev,
-                              std::uint64_t /*cycle*/) {
-  ++sum_.events;
-  switch (ev.kind) {
-    case fault::EventKind::kLinkDown:
-      ++sum_.link_down;
-      break;
-    case fault::EventKind::kRouterDown:
-      ++sum_.router_down;
-      break;
-    case fault::EventKind::kLinkUp:
-    case fault::EventKind::kRouterUp:
-      ++sum_.repairs;
-      break;
-  }
-}
-
-void FaultCollector::on_packet_fault(const sim::PacketRecord& /*pkt*/,
-                                     PacketFaultKind kind,
-                                     std::uint64_t /*cycle*/) {
-  switch (kind) {
-    case PacketFaultKind::kDropped:
-      ++sum_.dropped_packets;
-      break;
-    case PacketFaultKind::kRetransmitted:
-      ++sum_.retransmits;
-      break;
-    case PacketFaultKind::kLost:
-      ++sum_.lost_packets;
-      break;
-  }
-}
-
-void FaultCollector::finish(Summary& out) const {
-  out.has_fault = true;
-  out.fault = sum_;
-}
-
 // ------------------------------------------------------------------ set ---
 
 CollectorSet::CollectorSet(std::vector<Collector*> members)
@@ -371,20 +299,10 @@ Collector::Caps CollectorSet::caps() const {
     merged.link_flits |= m.link_flits;
     merged.stalls |= m.stalls;
     merged.ugal |= m.ugal;
-    if (m.occupancy_period != 0) {
-      merged.occupancy_period =
-          merged.occupancy_period == 0
-              ? m.occupancy_period
-              : static_cast<std::uint32_t>(
-                    gcd64(merged.occupancy_period, m.occupancy_period));
-    }
-    if (m.metrics_period != 0) {
-      merged.metrics_period =
-          merged.metrics_period == 0
-              ? m.metrics_period
-              : static_cast<std::uint32_t>(
-                    gcd64(merged.metrics_period, m.metrics_period));
-    }
+    // gcd(0, p) == p: a member without a period never widens the grid.
+    merged.occupancy_period =
+        std::gcd(merged.occupancy_period, m.occupancy_period);
+    merged.metrics_period = std::gcd(merged.metrics_period, m.metrics_period);
     merged.packets = PacketFilter::merge(merged.packets, m.packets);
     merged.faults |= m.faults;
   }

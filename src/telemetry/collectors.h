@@ -1,18 +1,19 @@
 // Concrete telemetry collectors for the flit simulator.
 //
 //  - LinkHistogramCollector: per-directed-link flit counts over the
-//    measurement window, plus optional fixed-width epoch histograms over
-//    the whole run (time-resolved link load).
+//    measurement window.
 //  - StallCollector: per-output-port stall attribution (credit-starved /
 //    VC-blocked / arbitration-lost) and busy counts; idle is derived.
 //  - OccupancyCollector: per-router and per-VC buffered-flit time-series
 //    sampled every `period` cycles.
 //  - UgalCollector: UGAL-L decision counters (minimal vs Valiant, and why).
-//  - CollectorSet: fans one Simulation's events out to several collectors.
+//  - TimeSeriesCollector: periodic counter intervals (the run's time axis).
+//  - CollectorSet: fans one Simulation's events out to several collectors;
+//    FullCollector bundles the link, stall, occupancy and UGAL ones.
 //
-// The packet flight recorder (PacketTraceCollector) and the percentile
-// histogram (LatencyHistogramCollector) live in telemetry/packet_trace.h;
-// FullCollector bundles one of each latency-capable collector here.
+// The packet flight recorder (PacketTraceCollector) lives in
+// telemetry/packet_trace.h. Latency percentiles and fault counts are not
+// collected here: SimResult computes them exactly on every run.
 //
 // Every collector is single-run state: attach a fresh instance per
 // Simulation. None of them touches global state, so runs on different
@@ -29,12 +30,6 @@ namespace polarstar::telemetry {
 
 class LinkHistogramCollector final : public Collector {
  public:
-  /// `epoch_cycles` > 0 additionally records one per-link histogram per
-  /// epoch of that many cycles (epoch 0 starts at cycle 0, warmup
-  /// included); 0 keeps only the measurement-window totals.
-  explicit LinkHistogramCollector(std::uint64_t epoch_cycles = 0)
-      : epoch_cycles_(epoch_cycles) {}
-
   Caps caps() const override {
     Caps c;
     c.link_flits = true;
@@ -51,22 +46,14 @@ class LinkHistogramCollector final : public Collector {
   /// Flits per directed link inside the measurement window, indexed like
   /// Network::link_index.
   const std::vector<std::uint64_t>& totals() const { return totals_; }
-  std::size_t num_epochs() const { return epochs_.size(); }
-  const std::vector<std::uint64_t>& epoch(std::size_t e) const {
-    return epochs_[e];
-  }
-  std::uint64_t epoch_cycles() const { return epoch_cycles_; }
   /// Measurement-window length actually observed (cycles). The simulator
   /// re-announces the clamped window at on_run_end, so this needs no
   /// open-ended special case.
   std::uint64_t window_cycles() const { return measure_end_ - measure_begin_; }
 
  private:
-  std::uint64_t epoch_cycles_;
   std::uint64_t measure_begin_ = 0, measure_end_ = ~0ull;
-  std::size_t num_links_ = 0;
   std::vector<std::uint64_t> totals_;
-  std::vector<std::vector<std::uint64_t>> epochs_;
 };
 
 class StallCollector final : public Collector {
@@ -214,31 +201,6 @@ class TimeSeriesCollector final : public Collector {
   bool open_ = false;
 };
 
-/// Fault-injection counters: schedule events applied during the run (by
-/// kind) plus their per-packet consequences (drops, retransmits, losses).
-/// Cheap enough to attach unconditionally -- on a fault-free run no fault
-/// hook ever fires.
-class FaultCollector final : public Collector {
- public:
-  Caps caps() const override {
-    Caps c;
-    c.faults = true;
-    return c;
-  }
-  void on_run_begin(const sim::Network& net, const sim::SimParams& prm,
-                    std::uint64_t measure_begin,
-                    std::uint64_t measure_end) override;
-  void on_fault(const fault::FaultEvent& ev, std::uint64_t cycle) override;
-  void on_packet_fault(const sim::PacketRecord& pkt, PacketFaultKind kind,
-                       std::uint64_t cycle) override;
-  void finish(Summary& out) const override;
-
-  const FaultSummary& counters() const { return sum_; }
-
- private:
-  FaultSummary sum_;
-};
-
 /// Fans every event out to a set of collectors (non-owning). caps() is the
 /// union of the members' caps; occupancy samples are delivered to each
 /// member on its own period grid.
@@ -278,32 +240,28 @@ class CollectorSet : public Collector {
   void finish(Summary& out) const override;
 
  private:
-  /// caps() is re-queried per member on every dispatch decision; with
-  /// PacketFilter in Caps that would copy a vector per event, so the set
-  /// caches each member's caps and refreshes the cache whenever the
-  /// membership is (re)inspected.
+  /// Per-event dispatch reads each member's caps; the set caches them (one
+  /// virtual caps() call per member, not per event) and refreshes the
+  /// cache whenever the membership changes.
   const std::vector<Caps>& member_caps() const;
 
   std::vector<Collector*> members_;
   mutable std::vector<Caps> member_caps_;
 };
 
-/// The everything-on bundle: one collector of each kind in a CollectorSet
-/// (dispatch order: links, stalls, occupancy, ugal, latency, faults).
-/// Attach directly to a Simulation, or return one from a
-/// SweepCase::make_collector factory; the members stay public for
-/// inspection after the run. Not copyable: the set points at the members.
+/// The aggregate bundle: links, stalls, occupancy and UGAL collectors in
+/// one CollectorSet (in that dispatch order). Attach directly to a
+/// Simulation, or return one from a SweepCase::make_collector factory; the
+/// members stay public for inspection after the run. Not copyable: the set
+/// points at the members.
 class FullCollector final : public CollectorSet {
  public:
-  explicit FullCollector(std::uint32_t occupancy_period = 64,
-                         std::uint64_t epoch_cycles = 0)
-      : links(epoch_cycles), occupancy(occupancy_period) {
+  explicit FullCollector(std::uint32_t occupancy_period = 64)
+      : occupancy(occupancy_period) {
     add(&links);
     add(&stalls);
     add(&occupancy);
     add(&ugal);
-    add(&latency);
-    add(&faults);
   }
   FullCollector(const FullCollector&) = delete;
   FullCollector& operator=(const FullCollector&) = delete;
@@ -312,8 +270,6 @@ class FullCollector final : public CollectorSet {
   StallCollector stalls;
   OccupancyCollector occupancy;
   UgalCollector ugal;
-  LatencyHistogramCollector latency;
-  FaultCollector faults;
 };
 
 }  // namespace polarstar::telemetry

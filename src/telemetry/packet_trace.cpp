@@ -28,7 +28,7 @@ void PacketTraceCollector::on_packet_fault(const sim::PacketRecord& pkt,
                                            std::uint64_t cycle) {
   // Packet-level marks only for our own sampled packets (schedule events
   // above are always recorded -- they are rare and global).
-  if (!filter_.matches(pkt.id, pkt.src_endpoint, pkt.dst_endpoint)) return;
+  if (!filter_.matches(pkt.id)) return;
   fault_marks_.push_back({cycle, to_string(kind), pkt.id, 0});
 }
 
@@ -41,7 +41,7 @@ void PacketTraceCollector::on_packet_injected(const sim::PacketRecord& pkt,
                                               std::uint64_t cycle) {
   // The simulator fires for the *merged* filter of every attached
   // collector; keep only our own packets.
-  if (!filter_.matches(pkt.id, pkt.src_endpoint, pkt.dst_endpoint)) return;
+  if (!filter_.matches(pkt.id)) return;
   index_.emplace(pkt.id, traces_.size());
   PacketTrace t;
   t.id = pkt.id;
@@ -111,33 +111,6 @@ void PacketTraceCollector::finish(Summary& out) const {
   std::uint64_t delivered = 0;
   for (const PacketTrace& t : traces_) delivered += t.delivered ? 1 : 0;
   out.trace.delivered = delivered;
-}
-
-// -------------------------------------------- LatencyHistogramCollector ---
-
-void LatencyHistogramCollector::on_run_begin(const sim::Network& /*net*/,
-                                             const sim::SimParams& /*prm*/,
-                                             std::uint64_t /*measure_begin*/,
-                                             std::uint64_t /*measure_end*/) {
-  hist_ = LatencyHistogram{};
-}
-
-void LatencyHistogramCollector::on_packet_ejected(
-    const sim::PacketRecord& pkt, std::uint64_t /*arrival_cycle*/,
-    std::uint64_t cycle) {
-  // Same population as SimResult's latency_samples_: packets born inside
-  // the measurement window, latency inclusive of the ejection cycle.
-  if (!pkt.measured) return;
-  hist_.add(cycle - pkt.birth_cycle + 1);
-}
-
-void LatencyHistogramCollector::finish(Summary& out) const {
-  out.has_latency = true;
-  out.latency.packets = hist_.count();
-  out.latency.p50 = hist_.quantile(0.50);
-  out.latency.p90 = hist_.quantile(0.90);
-  out.latency.p99 = hist_.quantile(0.99);
-  out.latency.p999 = hist_.quantile(0.999);
 }
 
 }  // namespace polarstar::telemetry

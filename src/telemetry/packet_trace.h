@@ -8,10 +8,6 @@
 //  - PacketTraceCollector: subscribes the packet caps with a deterministic
 //    PacketFilter and assembles events into traces. Output order is
 //    injection order, so traces are bit-identical across thread counts.
-//  - LatencyHistogramCollector: folds every measured packet's latency into
-//    a mergeable log-bucketed histogram (p50/p90/p99/p99.9 within the
-//    histogram's error bound) -- the full-percentile upgrade over
-//    SimResult's avg/p99.
 //
 // The record structs are deliberately free of sim includes so ps_io can
 // consume them without linking ps_telemetry.
@@ -20,10 +16,10 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "telemetry/collector.h"
-#include "telemetry/latency_histogram.h"
 
 namespace polarstar::telemetry {
 
@@ -89,8 +85,7 @@ struct FaultMarkRecord {
 /// the exported Perfetto trace pins failure instants onto the timeline.
 class PacketTraceCollector final : public Collector {
  public:
-  explicit PacketTraceCollector(PacketFilter filter)
-      : filter_(std::move(filter)) {}
+  explicit PacketTraceCollector(PacketFilter filter) : filter_(filter) {}
 
   Caps caps() const override {
     Caps c;
@@ -142,31 +137,6 @@ class PacketTraceCollector final : public Collector {
   std::vector<FaultMarkRecord> fault_marks_;
   std::unordered_map<std::uint64_t, std::size_t> index_;  // id -> traces_ pos
   std::uint64_t run_cycles_ = 0;
-};
-
-/// Full-percentile latency telemetry: subscribes every packet (sample
-/// period 1) and folds measured deliveries into a LatencyHistogram.
-/// finish() publishes p50/p90/p99/p99.9 as Summary::latency.
-class LatencyHistogramCollector final : public Collector {
- public:
-  Caps caps() const override {
-    Caps c;
-    c.packets.sample_period = 1;
-    return c;
-  }
-
-  void on_run_begin(const sim::Network& net, const sim::SimParams& prm,
-                    std::uint64_t measure_begin,
-                    std::uint64_t measure_end) override;
-  void on_packet_ejected(const sim::PacketRecord& pkt,
-                         std::uint64_t arrival_cycle,
-                         std::uint64_t cycle) override;
-  void finish(Summary& out) const override;
-
-  const LatencyHistogram& histogram() const { return hist_; }
-
- private:
-  LatencyHistogram hist_;
 };
 
 }  // namespace polarstar::telemetry

@@ -49,34 +49,11 @@ struct OccupancySummary {
   double avg_router_flits = 0.0;   ///< mean over samples and routers
 };
 
-/// Packet-latency percentiles over the measurement window, from a
-/// log-bucketed LatencyHistogram (each quantile carries the histogram's
-/// relative-error bound, see latency_histogram.h).
-struct LatencySummary {
-  std::uint64_t packets = 0;  ///< measured packets folded in
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  double p999 = 0.0;
-};
-
 /// Flight-recorder metadata: how many packets the trace sampled.
 struct TraceSummary {
   std::uint64_t sampled_packets = 0;  ///< lifecycles recorded
   std::uint64_t delivered = 0;        ///< of those, delivered before run end
-  std::uint32_t sample_period = 0;    ///< id sampling period (0 = watch only)
-};
-
-/// Live fault-injection counters (FaultCollector): schedule events applied
-/// and their per-packet consequences over the whole run.
-struct FaultSummary {
-  std::uint64_t events = 0;  ///< schedule events applied (all kinds)
-  std::uint64_t link_down = 0;
-  std::uint64_t router_down = 0;
-  std::uint64_t repairs = 0;  ///< link-up + router-up events
-  std::uint64_t dropped_packets = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t lost_packets = 0;
+  std::uint32_t sample_period = 0;    ///< id sampling period
 };
 
 /// One closed metrics interval [begin_cycle, end_cycle): interval diffs of
@@ -112,22 +89,18 @@ struct Summary {
   bool has_stall = false;
   bool has_ugal = false;
   bool has_occupancy = false;
-  bool has_latency = false;
   bool has_trace = false;
-  bool has_fault = false;
   bool has_timeseries = false;
   LinkLoadSummary link;
   StallSummary stall;
   UgalSummary ugal;
   OccupancySummary occupancy;
-  LatencySummary latency;
   TraceSummary trace;
-  FaultSummary fault;
   TimeSeriesSummary timeseries;
 
   bool any() const {
-    return has_link || has_stall || has_ugal || has_occupancy || has_latency ||
-           has_trace || has_fault || has_timeseries;
+    return has_link || has_stall || has_ugal || has_occupancy || has_trace ||
+           has_timeseries;
   }
 };
 

@@ -663,7 +663,7 @@ TEST(FaultRunner, AvailabilitySweepBitIdenticalAcrossThreads) {
   const std::string b1 = strip_wall_seconds(read_file(json1));
   const std::string b4 = strip_wall_seconds(read_file(json4));
   EXPECT_EQ(b1, b4);
-  EXPECT_NE(b1.find("\"schema\": 8"), std::string::npos);
+  EXPECT_NE(b1.find("\"schema\": 9"), std::string::npos);
   EXPECT_NE(b1.find("\"fault\": {"), std::string::npos);
   EXPECT_NE(b1.find("\"delivered_fraction\": "), std::string::npos);
   EXPECT_EQ(read_file(trace1), read_file(trace4));

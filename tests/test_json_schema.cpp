@@ -1,6 +1,6 @@
 // POLARSTAR_JSON validation: run a sweep with telemetry through the
 // ExperimentRunner, parse the emitted file with the in-repo JSON parser,
-// and check the current schema (8) plus a round-trip of the values against
+// and check the current schema (9) plus a round-trip of the values against
 // the in-memory results. Doubles as the parser's own test.
 #include <gtest/gtest.h>
 
@@ -116,7 +116,7 @@ TEST(JsonSchema, V3RoundTripsThroughTheRunner) {
 
   const auto doc = json::parse_file(path);
   ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(require(doc, "schema").as_number(), 8.0);
+  EXPECT_EQ(require(doc, "schema").as_number(), 9.0);
   const auto& points = require(doc, "points").as_array();
   ASSERT_EQ(points.size(), 2u);
 
@@ -144,8 +144,12 @@ TEST(JsonSchema, V3RoundTripsThroughTheRunner) {
     EXPECT_NEAR(require(p, "avg_latency").as_number(),
                 res.avg_packet_latency,
                 1e-4 * (1.0 + std::abs(res.avg_packet_latency)));
-    // The percentile columns, ordered like any sane latency CDF.
+    // The percentile columns, ordered like any sane latency CDF; p90 is
+    // SimResult's own exact value.
+    EXPECT_EQ(require(p, "p90_latency").as_number(), res.p90_packet_latency);
     EXPECT_LE(require(p, "p50_latency").as_number(),
+              require(p, "p90_latency").as_number());
+    EXPECT_LE(require(p, "p90_latency").as_number(),
               require(p, "p99_latency").as_number());
     EXPECT_LE(require(p, "p99_latency").as_number(),
               require(p, "p999_latency").as_number());
@@ -177,12 +181,9 @@ TEST(JsonSchema, V3RoundTripsThroughTheRunner) {
                   require(ugal, "minimal_no_candidate").as_number());
     const auto& occ = require(t, "occupancy");
     EXPECT_GT(require(occ, "samples").as_number(), 0.0);
-    // FullCollector bundles the latency histogram.
-    const auto& lat = require(t, "latency");
-    EXPECT_EQ(require(lat, "packets").as_number(),
-              static_cast<double>(res.telemetry.latency.packets));
-    EXPECT_LE(require(lat, "p50").as_number(),
-              require(lat, "p999").as_number());
+    // Latency percentiles and fault counts live in the point columns only.
+    EXPECT_EQ(t.find("latency"), nullptr);
+    EXPECT_EQ(t.find("fault"), nullptr);
   }
   std::remove(path.c_str());
 }
@@ -203,7 +204,7 @@ TEST(JsonSchema, PointsWithoutTelemetryOmitTheBlock) {
     r.run("plain", {c});
   }
   const auto doc = json::parse_file(path);
-  EXPECT_EQ(require(doc, "schema").as_number(), 8.0);
+  EXPECT_EQ(require(doc, "schema").as_number(), 9.0);
   const auto& points = require(doc, "points").as_array();
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0].find("telemetry"), nullptr);

@@ -282,7 +282,7 @@ TEST(MetricsSeries, RunlabBytesIdenticalAcrossThreadsAndVsReference) {
       if (ref_json.empty()) {
         ref_json = body;
         ref_trace = tbody;
-        EXPECT_NE(body.find("\"schema\": 8"), std::string::npos);
+        EXPECT_NE(body.find("\"schema\": 9"), std::string::npos);
         EXPECT_NE(body.find("\"timeseries\": {"), std::string::npos);
         EXPECT_NE(body.find("\"fault\": {"), std::string::npos);
         EXPECT_NE(tbody.find("\"ph\":\"C\""), std::string::npos);
@@ -379,7 +379,7 @@ TEST(EngineProfiler, RunnerReportAndJsonBlock) {
   EXPECT_NE(report.find("switch allocation"), std::string::npos);
   EXPECT_NE(report.find("utilization"), std::string::npos);
   const std::string body = read_file(json);
-  EXPECT_NE(body.find("\"schema\": 8"), std::string::npos);
+  EXPECT_NE(body.find("\"schema\": 9"), std::string::npos);
   EXPECT_NE(body.find("\"profile\": {\"points\": 1"), std::string::npos);
   EXPECT_NE(body.find("\"worker_utilization\": "), std::string::npos);
   EXPECT_NE(body.find("\"workers\": 2"), std::string::npos);

@@ -11,7 +11,8 @@
 // telemetry Summary, or the exported trace bytes. paranoid_checks is on
 // wherever affordable so the occupancy-index invariants are validated
 // every cycle in both modes. sim::Network's two route-table builds (from
-// distance rows, and from per-pair virtual queries) must agree too.
+// distance rows, and from per-pair virtual queries) must agree too, and
+// attaching every collector must leave a run's SimResult untouched.
 //
 // The same label carries the simulator-core counter gate
 // (SimcoreCounters/PerfCounters.*): six fixed-seed reduced-scale rows whose
@@ -36,6 +37,7 @@
 #include "io/trace_export.h"
 #include "routing/dragonfly_routing.h"
 #include "routing/routing.h"
+#include "runlab/runner.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
 #include "sim/traffic.h"
@@ -52,6 +54,7 @@ namespace core = polarstar::core;
 namespace fault = polarstar::fault;
 namespace io = polarstar::io;
 namespace routing = polarstar::routing;
+namespace runlab = polarstar::runlab;
 namespace sim = polarstar::sim;
 namespace telemetry = polarstar::telemetry;
 namespace topo = polarstar::topo;
@@ -100,6 +103,7 @@ void expect_identical(const sim::SimResult& a, const sim::SimResult& b) {
   EXPECT_EQ(a.measured_packets, b.measured_packets);
   EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
   EXPECT_EQ(a.p50_packet_latency, b.p50_packet_latency);
+  EXPECT_EQ(a.p90_packet_latency, b.p90_packet_latency);
   EXPECT_EQ(a.p99_packet_latency, b.p99_packet_latency);
   EXPECT_EQ(a.p999_packet_latency, b.p999_packet_latency);
   EXPECT_EQ(a.avg_hops, b.avg_hops);
@@ -140,20 +144,6 @@ void expect_identical(const telemetry::Summary& a,
   EXPECT_EQ(a.occupancy.samples, b.occupancy.samples);
   EXPECT_EQ(a.occupancy.peak_router_flits, b.occupancy.peak_router_flits);
   EXPECT_EQ(a.occupancy.avg_router_flits, b.occupancy.avg_router_flits);
-  EXPECT_EQ(a.has_latency, b.has_latency);
-  EXPECT_EQ(a.latency.packets, b.latency.packets);
-  EXPECT_EQ(a.latency.p50, b.latency.p50);
-  EXPECT_EQ(a.latency.p90, b.latency.p90);
-  EXPECT_EQ(a.latency.p99, b.latency.p99);
-  EXPECT_EQ(a.latency.p999, b.latency.p999);
-  EXPECT_EQ(a.has_fault, b.has_fault);
-  EXPECT_EQ(a.fault.events, b.fault.events);
-  EXPECT_EQ(a.fault.link_down, b.fault.link_down);
-  EXPECT_EQ(a.fault.router_down, b.fault.router_down);
-  EXPECT_EQ(a.fault.repairs, b.fault.repairs);
-  EXPECT_EQ(a.fault.dropped_packets, b.fault.dropped_packets);
-  EXPECT_EQ(a.fault.retransmits, b.fault.retransmits);
-  EXPECT_EQ(a.fault.lost_packets, b.fault.lost_packets);
 }
 
 // Forwards the two routing queries and inherits minimal_distances()'
@@ -350,9 +340,9 @@ TEST(PerfEquivalence, FaultedRun) {
   EXPECT_GT(fast.fault_events, 0u);
 }
 
-// Full telemetry attached (link histograms, stalls, occupancy, UGAL,
-// latency): every collector aggregate must come out identical, which
-// pins the hook *sequences*, not just the end-of-run totals.
+// Full telemetry attached (link histograms, stalls, occupancy, UGAL):
+// every collector aggregate must come out identical, which pins the hook
+// *sequences*, not just the end-of-run totals.
 TEST(PerfEquivalence, TelemetrySummaries) {
   const auto net = polarstar_net({4, 4, core::SupernodeKind::kPaley, 3});
   auto prm = base_params();
@@ -366,6 +356,47 @@ TEST(PerfEquivalence, TelemetrySummaries) {
   expect_identical(ref.telemetry, fast.telemetry);
   EXPECT_TRUE(fast.telemetry.has_link);
   EXPECT_TRUE(fast.telemetry.has_ugal);
+}
+
+// Collectors only observe: one UGAL point under a link-down/up schedule,
+// run bare and run with every observer attached (FullCollector, the flight
+// recorder and the metrics time series), must give the same SimResult.
+TEST(PerfEquivalence, CollectorsNeverChangeResults) {
+  const auto net = polarstar_net({4, 4, core::SupernodeKind::kPaley, 3});
+  auto prm = base_params();
+  prm.path_mode = sim::PathMode::kUgal;
+  prm.num_vcs = 8;
+  prm.paranoid_checks = false;
+  fault::ScheduleSpec spec;
+  spec.link_fail_fraction = 0.05;
+  spec.begin_cycle = 300;
+  spec.end_cycle = 301;
+  spec.repair_after = 200;
+  const auto sched =
+      fault::FaultSchedule::random(net->topology(), spec, /*seed=*/13);
+  ASSERT_TRUE(std::any_of(
+      sched.events().begin(), sched.events().end(),
+      [](const fault::FaultEvent& e) {
+        return e.kind == fault::EventKind::kLinkUp;
+      }));
+  const runlab::PointSpec bare{
+      .net = net.get(), .load = 0.25, .params = prm, .faults = &sched};
+  telemetry::FullCollector full;
+  runlab::PointSpec observed = bare;
+  observed.collector = &full;
+  observed.trace.sample_period = 16;
+  observed.metrics_interval = 100;
+  const auto plain = runlab::run_point(bare);
+  const auto traced = runlab::run_point(observed);
+  expect_identical(plain, traced);
+  EXPECT_EQ(plain.fault_events, sched.size());
+  EXPECT_GT(plain.packets_dropped, 0u);
+  EXPECT_FALSE(plain.telemetry.any());
+  EXPECT_TRUE(traced.telemetry.has_link);
+  EXPECT_TRUE(traced.telemetry.has_ugal);
+  EXPECT_TRUE(traced.telemetry.has_trace);
+  EXPECT_TRUE(traced.telemetry.has_timeseries);
+  EXPECT_FALSE(traced.packet_traces.empty());
 }
 
 // Flight recorder under faults: the exported Chrome-trace documents (hop

@@ -1,11 +1,10 @@
-// Flight-recorder tests: deterministic sampling, trace structure, the
-// latency histogram's error bound, Chrome-trace/Perfetto export validity
+// Flight-recorder tests: deterministic sampling, trace structure, ordered
+// SimResult percentiles, Chrome-trace/Perfetto export validity
 // (round-tripped through the in-repo JSON parser), window normalization at
 // on_run_end, the runner's heartbeat, and the POLARSTAR_JSON +
 // POLARSTAR_TRACE environment path end to end. Labelled `trace` in ctest.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -83,21 +82,22 @@ class WindowProbe final : public telemetry::Collector {
 
 // ---------------------------------------------------------- sampling ------
 
-TEST(PacketFilter, MergeTakesGcdOfPeriodsAndUnionOfWatches) {
+TEST(PacketFilter, MergeTakesGcdOfPeriods) {
   telemetry::PacketFilter a, b;
   a.sample_period = 6;
-  a.watch = {{1, 2}};
   b.sample_period = 4;
-  b.watch = {{3, 4}};
   const auto m = telemetry::PacketFilter::merge(a, b);
   EXPECT_EQ(m.sample_period, 2u);  // gcd: superset of both id sets
-  EXPECT_EQ(m.watch.size(), 2u);
 
   telemetry::PacketFilter none;
   const auto n = telemetry::PacketFilter::merge(none, b);
   EXPECT_EQ(n.sample_period, 4u);  // disabled side must not widen to all
   EXPECT_FALSE(telemetry::PacketFilter{}.enabled());
+  EXPECT_FALSE(telemetry::PacketFilter::merge(none, none).enabled());
   EXPECT_TRUE(m.enabled());
+  EXPECT_TRUE(m.matches(6));
+  EXPECT_FALSE(m.matches(7));
+  EXPECT_FALSE(none.matches(0));
 }
 
 TEST(PacketTrace, SamplesExactlyTheFilteredIds) {
@@ -121,33 +121,6 @@ TEST(PacketTrace, SamplesExactlyTheFilteredIds) {
     if (t.id % 4 == 0) ++multiples;
   }
   EXPECT_EQ(multiples, res4.packet_traces.size());
-}
-
-TEST(PacketTrace, WatchListCapturesEveryPacketOfThePair) {
-  auto net = small_dragonfly();
-  telemetry::PacketFilter all;
-  all.sample_period = 1;
-  const auto full = traced_point(net, all);
-
-  // Learn a pair that actually communicated, then re-run watching only it.
-  ASSERT_FALSE(full.packet_traces.empty());
-  const auto pair = std::make_pair(full.packet_traces.front().src_endpoint,
-                                   full.packet_traces.front().dst_endpoint);
-  std::size_t expected = 0;
-  for (const auto& t : full.packet_traces) {
-    if (t.src_endpoint == pair.first && t.dst_endpoint == pair.second) {
-      ++expected;
-    }
-  }
-
-  telemetry::PacketFilter watch;
-  watch.watch = {pair};
-  const auto watched = traced_point(net, watch);
-  EXPECT_EQ(watched.packet_traces.size(), expected);
-  for (const auto& t : watched.packet_traces) {
-    EXPECT_EQ(t.src_endpoint, pair.first);
-    EXPECT_EQ(t.dst_endpoint, pair.second);
-  }
 }
 
 // ----------------------------------------------------- trace structure ----
@@ -198,67 +171,10 @@ TEST(SimResult, PercentilesAreOrdered) {
       {.net = net.get(), .load = 0.2, .params = tiny_params(), .trace = {}});
   ASSERT_GT(res.measured_packets, 0u);
   EXPECT_GT(res.p50_packet_latency, 0.0);
-  EXPECT_LE(res.p50_packet_latency, res.p99_packet_latency);
+  EXPECT_LE(res.p50_packet_latency, res.p90_packet_latency);
+  EXPECT_LE(res.p90_packet_latency, res.p99_packet_latency);
   EXPECT_LE(res.p99_packet_latency, res.p999_packet_latency);
   EXPECT_LE(res.avg_packet_latency, res.p999_packet_latency);
-}
-
-// ------------------------------------------------------------ histogram ---
-
-TEST(LatencyHistogram, QuantilesWithinRelativeErrorBound) {
-  telemetry::LatencyHistogram h;
-  std::vector<std::uint64_t> exact;
-  // Deterministic skewed population over ~4 octaves.
-  std::uint64_t x = 12345;
-  for (int i = 0; i < 20000; ++i) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    const std::uint64_t v = 16 + (x >> 33) % 5000;
-    h.add(v);
-    exact.push_back(v);
-  }
-  std::sort(exact.begin(), exact.end());
-  ASSERT_EQ(h.count(), exact.size());
-  for (double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-    const double ref = static_cast<double>(
-        exact[static_cast<std::size_t>(q * (exact.size() - 1))]);
-    const double got = h.quantile(q);
-    // Log-bucketed with 32 sub-buckets per octave: <= 2^-5 relative width,
-    // so midpoints are within ~1.6% of any member; allow the full width.
-    EXPECT_NEAR(got, ref, ref * 0.032 + 1.0) << "q=" << q;
-  }
-  EXPECT_EQ(h.quantile(0.0), static_cast<double>(exact.front()));
-  EXPECT_EQ(h.quantile(1.0), static_cast<double>(exact.back()));
-}
-
-TEST(LatencyHistogram, MergeEqualsPooledPopulation) {
-  telemetry::LatencyHistogram a, b, pooled;
-  for (std::uint64_t v = 1; v <= 3000; ++v) {
-    (v % 2 ? a : b).add(v);
-    pooled.add(v);
-  }
-  a.merge(b);
-  ASSERT_EQ(a.count(), pooled.count());
-  for (double q : {0.1, 0.5, 0.9, 0.99}) {
-    EXPECT_EQ(a.quantile(q), pooled.quantile(q)) << "q=" << q;
-  }
-}
-
-TEST(LatencyHistogram, CollectorMatchesSimResultPercentiles) {
-  auto net = small_dragonfly();
-  telemetry::LatencyHistogramCollector lat;
-  const auto res = runlab::run_point({.net = net.get(),
-                                      .pattern = sim::Pattern::kUniform,
-                                      .load = 0.2,
-                                      .params = tiny_params(),
-                                      .pattern_seed = runlab::kSameSeed,
-                                      .collector = &lat,
-                                      .trace = {}});
-  ASSERT_GT(res.measured_packets, 0u);
-  ASSERT_EQ(lat.histogram().count(), res.measured_packets);
-  EXPECT_NEAR(lat.histogram().quantile(0.99), res.p99_packet_latency,
-              res.p99_packet_latency * 0.032 + 1.0);
-  EXPECT_NEAR(lat.histogram().quantile(0.50), res.p50_packet_latency,
-              res.p50_packet_latency * 0.032 + 1.0);
 }
 
 // ------------------------------------------------- window normalization ---
@@ -416,7 +332,7 @@ TEST(Runner, EnvironmentPathsEmitValidJsonAndTrace) {
   ::unsetenv("POLARSTAR_TRACE");
 
   const auto points_doc = json::parse_file(jpath);
-  EXPECT_EQ(points_doc.find("schema")->as_number(), 8.0);
+  EXPECT_EQ(points_doc.find("schema")->as_number(), 9.0);
   const auto& pts = points_doc.find("points")->as_array();
   ASSERT_EQ(pts.size(), 1u);
   EXPECT_NE(pts[0].find("p50_latency"), nullptr);

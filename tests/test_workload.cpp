@@ -548,7 +548,7 @@ TEST(WorkloadRunlab, JsonBytesIdenticalAcrossThreads) {
   const std::string b1 = strip_wall_seconds(read_file(json1));
   const std::string b4 = strip_wall_seconds(read_file(json4));
   EXPECT_EQ(b1, b4);
-  EXPECT_NE(b1.find("\"schema\": 8"), std::string::npos);
+  EXPECT_NE(b1.find("\"schema\": 9"), std::string::npos);
   EXPECT_NE(b1.find("\"workload\": {\"name\": \"incast\""),
             std::string::npos);
   EXPECT_NE(b1.find("\"workload\": {\"name\": \"stress\""),

@@ -3,7 +3,7 @@
 //   check_json_schema <file.json> [...]   validate runner output files
 //   check_json_schema --selftest          validate a built-in example
 //
-// Accepts the current schema, 8 (EXPERIMENTS.md "POLARSTAR_JSON schema"):
+// Accepts the current schema, 9 (EXPERIMENTS.md "POLARSTAR_JSON schema"):
 // an object with "schema" and "points", optional per-point "workload",
 // "collective", "fault" and "telemetry" blocks, and an optional top-level
 // "profile" block. Exits non-zero with a message on the first violation,
@@ -42,12 +42,14 @@ void check_point(const json::Value& p, std::size_t index) {
     require(p, "stable", json::Value::Kind::kBool);
     require(p, "deadlock", json::Value::Kind::kBool);
     require(p, "avg_latency", json::Value::Kind::kNumber);
-    const auto& p50 = require(p, "p50_latency", json::Value::Kind::kNumber);
-    const auto& p99 = require(p, "p99_latency", json::Value::Kind::kNumber);
-    const auto& p999 = require(p, "p999_latency", json::Value::Kind::kNumber);
-    if (p50.as_number() > p99.as_number() ||
-        p99.as_number() > p999.as_number()) {
-      throw std::runtime_error("latency percentiles are not monotone");
+    double prev = 0.0;
+    for (const char* k :
+         {"p50_latency", "p90_latency", "p99_latency", "p999_latency"}) {
+      const double v = require(p, k, json::Value::Kind::kNumber).as_number();
+      if (v < prev) {
+        throw std::runtime_error("latency percentiles are not monotone");
+      }
+      prev = v;
     }
     require(p, "avg_hops", json::Value::Kind::kNumber);
     require(p, "accepted_flit_rate", json::Value::Kind::kNumber);
@@ -146,14 +148,6 @@ void check_point(const json::Value& p, std::size_t index) {
         require(*oc, "peak_router_flits", json::Value::Kind::kNumber);
         require(*oc, "avg_router_flits", json::Value::Kind::kNumber);
       }
-      if (const json::Value* lat = t->find("latency")) {
-        for (const char* k : {"packets", "p50", "p90", "p99", "p999"}) {
-          require(*lat, k, json::Value::Kind::kNumber);
-        }
-        if (lat->find("p50")->as_number() > lat->find("p999")->as_number()) {
-          throw std::runtime_error("histogram percentiles are not monotone");
-        }
-      }
       if (const json::Value* tr = t->find("trace")) {
         for (const char* k : {"sampled", "delivered", "period"}) {
           require(*tr, k, json::Value::Kind::kNumber);
@@ -161,12 +155,6 @@ void check_point(const json::Value& p, std::size_t index) {
         if (tr->find("delivered")->as_number() >
             tr->find("sampled")->as_number()) {
           throw std::runtime_error("trace delivered exceeds sampled");
-        }
-      }
-      if (const json::Value* tf = t->find("fault")) {
-        for (const char* k : {"events", "link_down", "router_down", "repairs",
-                              "dropped", "retransmits", "lost"}) {
-          require(*tf, k, json::Value::Kind::kNumber);
         }
       }
       if (const json::Value* ts = t->find("timeseries")) {
@@ -215,9 +203,9 @@ void check_point(const json::Value& p, std::size_t index) {
 std::size_t check_document(const json::Value& doc) {
   if (!doc.is_object()) throw std::runtime_error("document is not an object");
   const auto& v = require(doc, "schema", json::Value::Kind::kNumber);
-  if (v.as_number() != 8.0) {
+  if (v.as_number() != 9.0) {
     throw std::runtime_error("unsupported schema " +
-                             std::to_string(v.as_number()) + " (want 8)");
+                             std::to_string(v.as_number()) + " (want 9)");
   }
   const auto& points =
       require(doc, "points", json::Value::Kind::kArray).as_array();
@@ -245,15 +233,16 @@ std::size_t check_document(const json::Value& doc) {
 }
 
 // One current example of every block type: a UGAL point with the full
-// telemetry set, an availability point with both fault blocks, workload
+// telemetry set, an availability point with its fault block, workload
 // points (one sampled into a time series), a closed-loop collective point,
 // and the top-level profile block.
 constexpr const char* kSelftestDoc = R"({
-"schema": 8,
+"schema": 9,
 "points": [
   {"sweep": "s", "case": "PS-IQ", "pattern": "uniform", "mode": "ugal",
    "load": 0.1, "stable": true, "deadlock": false, "avg_latency": 8.5,
-   "p50_latency": 8, "p99_latency": 20, "p999_latency": 31,
+   "p50_latency": 8, "p90_latency": 14, "p99_latency": 20,
+   "p999_latency": 31,
    "avg_hops": 2.4, "accepted_flit_rate": 0.1,
    "cycles": 2000, "measured_packets": 512, "wall_seconds": 0.05,
    "telemetry": {
@@ -265,31 +254,26 @@ constexpr const char* kSelftestDoc = R"({
               "minimal_no_candidate": 12, "avg_valiant_extra_hops": 1.5},
      "occupancy": {"samples": 31, "peak_router_flits": 24,
                    "avg_router_flits": 3.5},
-     "latency": {"packets": 512, "p50": 8, "p90": 14, "p99": 20,
-                 "p999": 31},
      "trace": {"sampled": 8, "delivered": 8, "period": 64}}},
   {"sweep": "avail", "case": "PS-IQ f=0.02", "pattern": "uniform",
    "mode": "min-adaptive", "load": 0.15, "stable": true, "deadlock": false,
-   "avg_latency": 9.1, "p50_latency": 8, "p99_latency": 22,
-   "p999_latency": 35, "avg_hops": 2.5, "accepted_flit_rate": 0.148,
+   "avg_latency": 9.1, "p50_latency": 8, "p90_latency": 15,
+   "p99_latency": 22, "p999_latency": 35, "avg_hops": 2.5,
+   "accepted_flit_rate": 0.148,
    "cycles": 7600, "measured_packets": 500, "wall_seconds": 0.2,
    "fault": {"events": 23, "dropped": 152, "retransmits": 100, "lost": 12,
-             "measured_lost": 4, "delivered_fraction": 0.9917},
-   "telemetry": {
-     "fault": {"events": 23, "link_down": 11, "router_down": 1,
-               "repairs": 0, "dropped": 152, "retransmits": 100,
-               "lost": 12}}},
+             "measured_lost": 4, "delivered_fraction": 0.9917}},
   {"sweep": "workloads", "case": "PS-IQ incast", "pattern": "incast",
    "mode": "min-adaptive", "load": 0.2, "stable": true, "deadlock": false,
-   "avg_latency": 10.2, "p50_latency": 9, "p99_latency": 40,
-   "p999_latency": 66, "avg_hops": 2.4, "accepted_flit_rate": 0.199,
+   "avg_latency": 10.2, "p50_latency": 9, "p90_latency": 21,
+   "p99_latency": 40, "p999_latency": 66, "avg_hops": 2.4, "accepted_flit_rate": 0.199,
    "cycles": 10000, "measured_packets": 800, "wall_seconds": 0.4,
    "workload": {"name": "incast",
                 "detail": "2 victims, burst 32/256 cycles, fraction 0.7"}},
   {"sweep": "drain", "case": "PS-IQ hotspot", "pattern": "hotspot",
    "mode": "min-adaptive", "load": 0.2, "stable": true, "deadlock": false,
-   "avg_latency": 11.4, "p50_latency": 9, "p99_latency": 48,
-   "p999_latency": 70, "avg_hops": 2.5, "accepted_flit_rate": 0.198,
+   "avg_latency": 11.4, "p50_latency": 9, "p90_latency": 25,
+   "p99_latency": 48, "p999_latency": 70, "avg_hops": 2.5, "accepted_flit_rate": 0.198,
    "cycles": 2500, "measured_packets": 600, "wall_seconds": 0.3,
    "workload": {"name": "hotspot"},
    "telemetry": {
@@ -305,7 +289,8 @@ constexpr const char* kSelftestDoc = R"({
   {"sweep": "collective-allreduce", "case": "PS-IQ edst/min",
    "pattern": "collective-edst", "mode": "min-adaptive", "load": 8,
    "stable": true, "deadlock": false, "avg_latency": 6.8,
-   "p50_latency": 5, "p99_latency": 14, "p999_latency": 17,
+   "p50_latency": 5, "p90_latency": 11, "p99_latency": 14,
+   "p999_latency": 17,
    "avg_hops": 1, "accepted_flit_rate": 0,
    "cycles": 502, "measured_packets": 3952, "wall_seconds": 0.02,
    "workload": {"name": "collective-edst",
@@ -323,6 +308,14 @@ constexpr const char* kSelftestDoc = R"({
   "worker_utilization": 0.485}
 })";
 
+// Valid in every field except p90_latency > p99_latency.
+constexpr const char* kNonMonotonePoint = R"({"schema": 9, "points": [
+  {"sweep": "s", "case": "PS-IQ", "pattern": "uniform", "mode": "min",
+   "load": 0.1, "stable": true, "deadlock": false, "avg_latency": 8.5,
+   "p50_latency": 8, "p90_latency": 25, "p99_latency": 20,
+   "p999_latency": 31, "avg_hops": 2.4, "accepted_flit_rate": 0.1,
+   "cycles": 2000, "measured_packets": 512, "wall_seconds": 0.05}]})";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -334,15 +327,18 @@ int main(int argc, char** argv) {
   try {
     if (std::string(argv[1]) == "--selftest") {
       const std::size_t n = check_document(json::parse(kSelftestDoc));
-      // Older schemas and the schema-1 bare array are rejected outright.
-      for (const char* old : {R"({"schema": 7, "points": []})", "[]"}) {
+      // Older schemas, the schema-1 bare array and a point whose p90 exceeds
+      // its p99 are rejected outright.
+      for (const char* bad : {R"({"schema": 8, "points": []})",
+                              R"({"schema": 7, "points": []})", "[]",
+                              kNonMonotonePoint}) {
         bool rejected = false;
         try {
-          check_document(json::parse(old));
+          check_document(json::parse(bad));
         } catch (const std::runtime_error&) {
           rejected = true;
         }
-        if (!rejected) throw std::runtime_error("accepted a stale schema");
+        if (!rejected) throw std::runtime_error("accepted an invalid document");
       }
       std::printf("selftest: %zu point(s) valid\n", n);
       return 0;

@@ -1,4 +1,4 @@
-// Offline report over a schema-8 POLARSTAR_JSON file: the time axis.
+// Offline report over a schema-9 POLARSTAR_JSON file: the time axis.
 //
 //   metrics_report <polarstar.json> [...]   print interval tables
 //   metrics_report --selftest               run against a built-in example
@@ -10,7 +10,8 @@
 // throughput and latency curves, so a hotspot drain or a fault-recovery
 // transient reads at a glance in a terminal. A top-level "profile" block
 // (engine self-profiler) is rendered as a phase-attribution table.
-// Exits non-zero on malformed input.
+// Exits non-zero on malformed input, a point or "telemetry" value that is
+// not an object included.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -142,11 +143,21 @@ void print_profile(const json::Value& prof) {
 std::size_t report(const std::string& label, const json::Value& doc) {
   if (!doc.is_object()) throw std::runtime_error("document is not an object");
   const double schema = num(doc, "schema");
-  if (schema != 8.0) {
+  if (schema != 9.0) {
     throw std::runtime_error("unsupported schema " + std::to_string(schema) +
-                             " (want 8)");
+                             " (want 9)");
   }
   const auto& points = require(doc, "points").as_array();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::string where = "point " + std::to_string(i);
+    if (!points[i].is_object()) {
+      throw std::runtime_error(where + " is not an object");
+    }
+    const json::Value* t = points[i].find("telemetry");
+    if (t != nullptr && !t->is_object()) {
+      throw std::runtime_error(where + ": telemetry is not an object");
+    }
+  }
   std::printf("%s: schema %g, %zu point(s)\n", label.c_str(), schema,
               points.size());
   std::size_t sampled = 0;
@@ -164,7 +175,7 @@ std::size_t report(const std::string& label, const json::Value& doc) {
 }
 
 constexpr const char* kSelftestDoc = R"({
-"schema": 8,
+"schema": 9,
 "points": [
   {"sweep": "drain", "case": "PS-IQ hotspot", "pattern": "hotspot",
    "mode": "min-adaptive", "load": 0.2,
@@ -203,6 +214,18 @@ int main(int argc, char** argv) {
     if (std::string(argv[1]) == "--selftest") {
       const std::size_t n = report("selftest", json::parse(kSelftestDoc));
       if (n != 1) throw std::runtime_error("selftest point count mismatch");
+      // A stale schema and malformed points must be rejected, not skipped.
+      for (const char* bad :
+           {R"({"schema": 8, "points": []})", R"({"schema": 9, "points": [3]})",
+            R"({"schema": 9, "points": [{"telemetry": 3}]})"}) {
+        bool rejected = false;
+        try {
+          report("selftest-reject", json::parse(bad));
+        } catch (const std::runtime_error&) {
+          rejected = true;
+        }
+        if (!rejected) throw std::runtime_error("accepted an invalid document");
+      }
       return 0;
     }
     for (int i = 1; i < argc; ++i) {

@@ -112,26 +112,26 @@ int main(int argc, char** argv) {
   prm.min_select =
       adaptive ? sim::MinSelect::kAdaptive : sim::MinSelect::kSingleHash;
 
+  // PolarStar rows take topology and analytic routing from one build.
   std::shared_ptr<const topo::Topology> topo;
-  try {
-    topo = std::make_shared<const topo::Topology>(
-        analysis::build_table3(topo_name));
-  } catch (const std::invalid_argument& e) {
-    return usage_error(e.what());
-  }
   std::shared_ptr<const routing::MinimalRouting> route;
-  if (topo_name == "PS-IQ") {
-    auto ps = std::make_shared<const core::PolarStar>(core::PolarStar::build(
-        {11, 3, core::SupernodeKind::kInductiveQuad, 5}));
+  if (const auto cfg = analysis::table3_polarstar(topo_name)) {
+    auto ps =
+        std::make_shared<const core::PolarStar>(core::PolarStar::build(*cfg));
+    topo = core::shared_topology(ps);
     route = routing::make_polarstar_routing(ps);
-  } else if (topo_name == "PS-Pal") {
-    auto ps = std::make_shared<const core::PolarStar>(
-        core::PolarStar::build({8, 6, core::SupernodeKind::kPaley, 5}));
-    route = routing::make_polarstar_routing(ps);
-  } else if (topo_name == "DF") {
-    route = std::make_shared<routing::DragonflyRouting>(topo);
   } else {
-    route = routing::make_table_routing(topo->g);
+    try {
+      topo = std::make_shared<const topo::Topology>(
+          analysis::build_table3(topo_name));
+    } catch (const std::invalid_argument& e) {
+      return usage_error(e.what());
+    }
+    if (topo_name == "DF") {
+      route = std::make_shared<routing::DragonflyRouting>(topo);
+    } else {
+      route = routing::make_table_routing(topo->g);
+    }
   }
   sim::Network net(topo, route);
 
