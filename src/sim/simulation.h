@@ -245,7 +245,6 @@ class Simulation {
   std::uint64_t cycle() const { return cycle_; }
   const Network& network() const { return *net_; }
   const SimParams& params() const { return prm_; }
-  std::mt19937_64& rng() { return rng_; }
   std::uint64_t outstanding_packets() const { return live_packets_; }
 
  private:

@@ -53,14 +53,32 @@ std::unique_ptr<PatternSource> make_pattern_source(const topo::Topology& topo,
                                          packet_flits, seed);
 }
 
+OpenLoopSource::OpenLoopSource(const topo::Topology& topo,
+                               double probability, std::uint64_t seed)
+    : topo_(&topo), arrivals_(topo.num_endpoints(), probability, seed) {
+  if (topo.num_endpoints() == 0) {
+    throw std::invalid_argument("open-loop source: no endpoints");
+  }
+}
+
+void OpenLoopSource::tick(Simulation& sim) {
+  if (!started_) {
+    arrivals_.start(sim.cycle(),
+                    [&](std::uint64_t e) { return may_send(e, sim); });
+    started_ = true;
+  }
+  arrivals_.fire(sim.cycle(), [&](std::uint64_t e, EventDraws& draws) {
+    const std::uint64_t dst = destination(e, sim, draws);
+    if (dst != kNoTraffic) sim.enqueue_packet(e, dst);
+  });
+}
+
 PatternSource::PatternSource(const topo::Topology& topo, Pattern pattern,
                              double injection_rate,
                              std::uint32_t packet_flits, std::uint64_t seed)
-    : topo_(&topo),
-      pattern_(pattern),
-      arrivals_(topo.num_endpoints(), injection_rate / packet_flits, seed) {
+    : OpenLoopSource(topo, injection_rate / packet_flits, seed),
+      pattern_(pattern) {
   const std::uint64_t eps = topo.num_endpoints();
-  if (eps == 0) throw std::invalid_argument("pattern: no endpoints");
   while ((2ull << domain_bits_) <= eps) ++domain_bits_;
   ++domain_bits_;  // now 2^domain_bits_ <= eps < 2^(domain_bits_+1)
   if ((1ull << domain_bits_) > eps) --domain_bits_;
@@ -80,9 +98,7 @@ PatternSource::PatternSource(const topo::Topology& topo, Pattern pattern,
       if (topo.conc[r] > 0) carriers.push_back(r);
     }
     std::vector<Vertex> image = carriers;
-    for (std::size_t i = image.size(); i > 1; --i) {
-      std::swap(image[i - 1], image[setup() % i]);
-    }
+    shuffle(image, setup);
     router_perm_.assign(topo.num_routers(), 0);
     for (std::size_t i = 0; i < carriers.size(); ++i) {
       router_perm_[carriers[i]] = image[i];
@@ -176,12 +192,8 @@ std::uint64_t PatternSource::destination(std::uint64_t src, Simulation& sim,
   const auto& topo = *topo_;
   const std::uint64_t eps = topo.num_endpoints();
   switch (pattern_) {
-    case Pattern::kUniform: {
-      if (eps < 2) return kNoTraffic;
-      std::uint64_t dst = draws() % (eps - 1);
-      if (dst >= src) ++dst;
-      return dst;
-    }
+    case Pattern::kUniform:
+      return eps < 2 ? kNoTraffic : uniform_other(src, eps, draws);
     case Pattern::kPermutation: {
       const Vertex r = topo.router_of_endpoint(src);
       const std::uint64_t slot = src - topo.first_endpoint(r);
@@ -237,30 +249,18 @@ std::uint64_t PatternSource::destination(std::uint64_t src, Simulation& sim,
             hot_endpoints_[draws() % hot_endpoints_.size()];
         if (dst != src) return dst;
       }
-      std::uint64_t dst = draws() % (eps - 1);
-      if (dst >= src) ++dst;
-      return dst;
+      return uniform_other(src, eps, draws);
     }
   }
   return kNoTraffic;
 }
 
-void PatternSource::tick(Simulation& sim) {
-  if (!started_) {
-    // Endpoints a fixed pattern never sends from get no clock at all.
-    const bool fixed =
-        pattern_ != Pattern::kUniform && pattern_ != Pattern::kHotspot;
-    arrivals_.start(sim.cycle(), [&](std::uint64_t e) {
-      if (!fixed) return topo_->num_endpoints() > 1;
-      EventDraws unused = arrivals_.setup_draws();
-      return destination(e, sim, unused) != kNoTraffic;
-    });
-    started_ = true;
+bool PatternSource::may_send(std::uint64_t e, Simulation& sim) {
+  if (pattern_ == Pattern::kUniform || pattern_ == Pattern::kHotspot) {
+    return OpenLoopSource::may_send(e, sim);
   }
-  arrivals_.fire(sim.cycle(), [&](std::uint64_t e, EventDraws& draws) {
-    const std::uint64_t dst = destination(e, sim, draws);
-    if (dst != kNoTraffic) sim.enqueue_packet(e, dst);
-  });
+  EventDraws unused = arrivals_.setup_draws();
+  return destination(e, sim, unused) != kNoTraffic;
 }
 
 }  // namespace polarstar::sim

@@ -1,7 +1,6 @@
 #include "workload/generators.h"
 
 #include <algorithm>
-#include <random>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,114 +10,66 @@ namespace polarstar::workload {
 
 namespace {
 
-/// Shared base for the Bernoulli-injecting scenario sources: one RNG, one
-/// coin per endpoint per cycle, destination picked by the subclass. The
-/// coin is always drawn (even at probability 0) so composed scenarios keep
-/// their RNG streams aligned across parameter changes.
-class BernoulliSource : public sim::TrafficSource {
- public:
-  BernoulliSource(const topo::Topology& topo, double load,
-                  std::uint32_t packet_flits, std::uint64_t seed)
-      : topo_(&topo),
-        packet_probability_(load / packet_flits),
-        rng_(seed) {
-    if (topo.num_endpoints() == 0) {
-      throw std::invalid_argument("workload: no endpoints");
-    }
-  }
-
-  void tick(sim::Simulation& sim) override {
-    const std::uint64_t eps = topo_->num_endpoints();
-    std::uniform_real_distribution<double> coin(0.0, 1.0);
-    for (std::uint64_t e = 0; e < eps; ++e) {
-      if (coin(rng_) >= probability(e, sim.cycle())) continue;
-      const std::uint64_t dst = destination(e, sim.cycle());
-      if (dst == kNone || dst == e) continue;
-      sim.enqueue_packet(e, dst);
-    }
-  }
-
- protected:
-  static constexpr std::uint64_t kNone = ~0ull;
-
-  /// Per-endpoint injection probability this cycle (default: the offered
-  /// load, time-invariant).
-  virtual double probability(std::uint64_t /*src*/, std::uint64_t /*cycle*/) {
-    return packet_probability_;
-  }
-  virtual std::uint64_t destination(std::uint64_t src,
-                                    std::uint64_t cycle) = 0;
-
-  const topo::Topology* topo_;
-  double packet_probability_;
-  std::mt19937_64 rng_;
-};
+using sim::EventDraws;
+using sim::Simulation;
 
 // ---- incast ---------------------------------------------------------------
 
-class IncastSource final : public BernoulliSource {
+/// `background` and `burst` are the per-endpoint packet probabilities of
+/// the background and, inside a burst window, of the incast share. The
+/// clock runs at the burst-window rate, peak = min(1, background + burst).
+/// Quiet cycles keep background / peak of the arrivals; burst cycles keep
+/// them all and send burst / (background + burst) of them to a victim --
+/// the per-window rates and victim share of one Bernoulli trial per
+/// endpoint-cycle, the clamp at 1 included.
+class IncastSource final : public sim::OpenLoopSource {
  public:
   IncastSource(const topo::Topology& topo, const IncastConfig& cfg,
-               double load, std::uint32_t packet_flits, std::uint64_t seed)
-      : BernoulliSource(topo, load, packet_flits, seed), cfg_(cfg) {
+               double background, double burst, std::uint64_t seed)
+      : OpenLoopSource(topo, std::min(1.0, background + burst), seed),
+        cfg_(cfg) {
     const std::uint64_t eps = topo.num_endpoints();
-    victims_ = std::max<std::uint32_t>(
+    const std::uint32_t victims = std::max<std::uint32_t>(
         1, std::min<std::uint64_t>(cfg_.victims, eps));
     // Victim v is endpoint v * eps / victims: spread across the machine so
     // the fan-in crosses groups rather than melting one router.
-    for (std::uint32_t v = 0; v < victims_; ++v) {
-      victim_eps_.push_back(v * eps / victims_);
+    for (std::uint32_t v = 0; v < victims; ++v) {
+      victim_eps_.push_back(v * eps / victims);
     }
-    background_p_ = packet_probability_ * (1.0 - cfg_.burst_fraction);
-    // The incast share is delivered only during the burst window, scaled so
-    // the time average over one period still equals the offered share.
-    const double duty =
-        cfg_.burst == 0 ? 0.0
-                        : static_cast<double>(cfg_.period) /
-                              static_cast<double>(cfg_.burst);
-    burst_p_ = std::min(1.0, packet_probability_ * cfg_.burst_fraction * duty);
+    if (background + burst > 0.0) {
+      quiet_keep_ = background / std::min(1.0, background + burst);
+      victim_share_ = burst / (background + burst);
+    }
   }
 
  private:
-  bool in_burst(std::uint64_t cycle) const {
-    return cfg_.period != 0 && cycle % cfg_.period < cfg_.burst;
-  }
-
-  double probability(std::uint64_t /*src*/, std::uint64_t cycle) override {
-    return in_burst(cycle) ? background_p_ + burst_p_ : background_p_;
-  }
-
-  std::uint64_t destination(std::uint64_t src, std::uint64_t cycle) override {
-    const std::uint64_t eps = topo_->num_endpoints();
-    if (in_burst(cycle)) {
-      // Split this endpoint's draw between background and incast in
-      // proportion to their probabilities.
-      const double total = background_p_ + burst_p_;
-      std::uniform_real_distribution<double> pick(0.0, 1.0);
-      if (total > 0.0 && pick(rng_) < burst_p_ / total) {
-        return victim_eps_[src % victims_];
+  std::uint64_t destination(std::uint64_t src, Simulation& sim,
+                            EventDraws& draws) override {
+    if (cfg_.period != 0 && sim.cycle() % cfg_.period < cfg_.burst) {
+      if (unit(draws) < victim_share_) {
+        const std::uint64_t victim = victim_eps_[src % victim_eps_.size()];
+        return victim == src ? kNoTraffic : victim;
       }
+    } else if (unit(draws) >= quiet_keep_) {
+      return kNoTraffic;
     }
-    std::uint64_t dst = rng_() % (eps - 1);
-    if (dst >= src) ++dst;
-    return dst;
+    return uniform_other(src, topo_->num_endpoints(), draws);
   }
 
   IncastConfig cfg_;
-  std::uint32_t victims_ = 1;
   std::vector<std::uint64_t> victim_eps_;
-  double background_p_ = 0.0;
-  double burst_p_ = 0.0;
+  double quiet_keep_ = 0.0;
+  double victim_share_ = 0.0;
 };
 
 // ---- multi-tenant ---------------------------------------------------------
 
-class MultiTenantSource final : public BernoulliSource {
+class MultiTenantSource final : public sim::OpenLoopSource {
  public:
   MultiTenantSource(const topo::Topology& topo,
                     const std::vector<TenantPattern>& tenants, double load,
                     std::uint32_t packet_flits, std::uint64_t seed)
-      : BernoulliSource(topo, load, packet_flits, seed), patterns_(tenants) {
+      : OpenLoopSource(topo, load / packet_flits, seed), patterns_(tenants) {
     const std::uint64_t eps = topo.num_endpoints();
     const std::size_t T = tenants.size();
     if (eps < T) {
@@ -127,6 +78,7 @@ class MultiTenantSource final : public BernoulliSource {
     base_ = eps / T;
     // Fixed per-tenant permutations / hot members, drawn up front in tenant
     // order so the layout is a pure function of the seed.
+    EventDraws setup = arrivals_.setup_draws();
     perm_.resize(T);
     hot_.assign(T, 0);
     for (std::size_t t = 0; t < T; ++t) {
@@ -134,9 +86,9 @@ class MultiTenantSource final : public BernoulliSource {
       if (patterns_[t] == TenantPattern::kPermutation) {
         perm_[t].resize(size);
         for (std::uint64_t i = 0; i < size; ++i) perm_[t][i] = i;
-        std::shuffle(perm_[t].begin(), perm_[t].end(), rng_);
+        shuffle(perm_[t], setup);
       } else if (patterns_[t] == TenantPattern::kHotspot) {
-        hot_[t] = rng_() % size;
+        hot_[t] = setup() % size;
       }
     }
   }
@@ -150,20 +102,18 @@ class MultiTenantSource final : public BernoulliSource {
                : base_;
   }
 
-  std::uint64_t destination(std::uint64_t src, std::uint64_t /*cycle*/)
-      override {
+  std::uint64_t destination(std::uint64_t src, Simulation& /*sim*/,
+                            EventDraws& draws) override {
     const std::size_t t =
         std::min<std::uint64_t>(src / base_, patterns_.size() - 1);
     const std::uint64_t n = block_size(t);
-    if (n < 2) return kNone;
+    if (n < 2) return kNoTraffic;
     const std::uint64_t local = src - t * base_;
-    std::uint64_t out = kNone;
+    std::uint64_t out = local;
     switch (patterns_[t]) {
-      case TenantPattern::kUniform: {
-        out = rng_() % (n - 1);
-        if (out >= local) ++out;
+      case TenantPattern::kUniform:
+        out = uniform_other(local, n, draws);
         break;
-      }
       case TenantPattern::kPermutation:
         out = perm_[t][local];
         break;
@@ -174,8 +124,7 @@ class MultiTenantSource final : public BernoulliSource {
         out = (local + n / 2) % n;
         break;
     }
-    if (out == kNone || out == local) return kNone;
-    return t * base_ + out;
+    return out == local ? kNoTraffic : t * base_ + out;
   }
 
   std::vector<TenantPattern> patterns_;
@@ -186,11 +135,11 @@ class MultiTenantSource final : public BernoulliSource {
 
 // ---- transient hotspot ----------------------------------------------------
 
-class HotspotSource final : public BernoulliSource {
+class HotspotSource final : public sim::OpenLoopSource {
  public:
   HotspotSource(const topo::Topology& topo, const HotspotConfig& cfg,
                 double load, std::uint32_t packet_flits, std::uint64_t seed)
-      : BernoulliSource(topo, load, packet_flits, seed), cfg_(cfg) {
+      : OpenLoopSource(topo, load / packet_flits, seed), cfg_(cfg) {
     const std::uint64_t eps = topo.num_endpoints();
     const std::uint32_t hots = std::max<std::uint32_t>(
         1, std::min<std::uint64_t>(cfg_.hot_endpoints, eps));
@@ -200,17 +149,14 @@ class HotspotSource final : public BernoulliSource {
   }
 
  private:
-  std::uint64_t destination(std::uint64_t src, std::uint64_t cycle) override {
-    const std::uint64_t eps = topo_->num_endpoints();
-    if (cycle >= cfg_.begin && cycle < cfg_.end) {
-      std::uniform_real_distribution<double> pick(0.0, 1.0);
-      if (pick(rng_) < cfg_.hot_fraction) {
-        return hot_[rng_() % hot_.size()];
-      }
+  std::uint64_t destination(std::uint64_t src, Simulation& sim,
+                            EventDraws& draws) override {
+    if (sim.cycle() >= cfg_.begin && sim.cycle() < cfg_.end &&
+        unit(draws) < cfg_.hot_fraction) {
+      const std::uint64_t hot = hot_[draws() % hot_.size()];
+      return hot == src ? kNoTraffic : hot;
     }
-    std::uint64_t dst = rng_() % (eps - 1);
-    if (dst >= src) ++dst;
-    return dst;
+    return uniform_other(src, topo_->num_endpoints(), draws);
   }
 
   HotspotConfig cfg_;
@@ -219,35 +165,37 @@ class HotspotSource final : public BernoulliSource {
 
 // ---- collective -----------------------------------------------------------
 
-class CollectiveSource final : public BernoulliSource {
+class CollectiveSource final : public sim::OpenLoopSource {
  public:
   CollectiveSource(const topo::Topology& topo, const CollectiveConfig& cfg,
                    double load, std::uint32_t packet_flits,
                    std::uint64_t seed)
-      : BernoulliSource(topo, load, packet_flits, seed), cfg_(cfg) {
-    const std::uint64_t eps = topo.num_endpoints();
-    ranks_ = 1;
-    while (ranks_ * 2 <= eps) ranks_ *= 2;
-    log_ranks_ = 0;
+      : OpenLoopSource(topo, load / packet_flits, seed), cfg_(cfg) {
+    while (ranks_ * 2 <= topo.num_endpoints()) ranks_ *= 2;
     while ((1ull << log_ranks_) < ranks_) ++log_ranks_;
   }
 
  private:
-  std::uint64_t destination(std::uint64_t src, std::uint64_t cycle) override {
-    if (src >= ranks_ || ranks_ < 2) return kNone;  // non-ranks idle
+  /// Ranks are the largest 2^b <= endpoints; the rest idle.
+  bool may_send(std::uint64_t e, Simulation& /*sim*/) override {
+    return ranks_ >= 2 && e < ranks_;
+  }
+
+  std::uint64_t destination(std::uint64_t src, Simulation& sim,
+                            EventDraws& /*draws*/) override {
     switch (cfg_.schedule) {
       case CollectiveSchedule::kRecursiveDoubling: {
         // log_ranks_ phases, like the allreduce: partner stays < ranks_.
         const std::uint64_t phase =
             cfg_.phase_cycles == 0
                 ? 0
-                : (cycle / cfg_.phase_cycles) % log_ranks_;
+                : (sim.cycle() / cfg_.phase_cycles) % log_ranks_;
         return src ^ (1ull << phase);
       }
       case CollectiveSchedule::kRing:
         return (src + 1) % ranks_;
     }
-    return kNone;
+    return kNoTraffic;
   }
 
   CollectiveConfig cfg_;
@@ -290,10 +238,27 @@ std::string IncastWorkload::describe() const {
   return os.str();
 }
 
+IncastWorkload::IncastWorkload(IncastConfig cfg) : cfg_(cfg) {
+  const double f = cfg_.burst_fraction;
+  if (!(f >= 0.0 && f <= 1.0) ||
+      (f > 0.0 && (cfg_.burst == 0 || cfg_.burst > cfg_.period))) {
+    throw std::invalid_argument(
+        "incast: need burst_fraction in [0, 1], and 0 < burst <= period "
+        "when it is positive");
+  }
+}
+
 std::unique_ptr<sim::TrafficSource> IncastWorkload::instantiate(
     const Context& ctx) const {
-  return std::make_unique<IncastSource>(*ctx.topo, cfg_, ctx.load,
-                                        ctx.packet_flits, ctx.seed);
+  const double p = ctx.load / ctx.packet_flits;
+  // The incast share is delivered only during the burst window, scaled so
+  // the time average over one period still equals the offered share.
+  const double duty = cfg_.burst == 0 ? 0.0
+                                      : static_cast<double>(cfg_.period) /
+                                            static_cast<double>(cfg_.burst);
+  return std::make_unique<IncastSource>(
+      *ctx.topo, cfg_, p * (1.0 - cfg_.burst_fraction),
+      std::min(1.0, p * cfg_.burst_fraction * duty), ctx.seed);
 }
 
 std::vector<Mark> IncastWorkload::marks(const Context& ctx) const {

@@ -20,9 +20,13 @@
 //                              scenario is Combined{adversarial, incast}
 //                              under a SweepCase fault schedule).
 //
-// All generators inject from tick() with per-source RNGs seeded from
-// Context::seed, so every scenario is deterministic, bit-identical at any
-// POLARSTAR_THREADS, and trace-recordable (trace.h).
+// Every open-loop generator derives from sim::OpenLoopSource, the arrival
+// process of the patterns: Bernoulli arrivals by skip-ahead over
+// per-endpoint counter-based streams keyed by Context::seed. A generator
+// supplies only which endpoints may send and a destination rule that draws
+// from the arrival's own stream, so every scenario costs O(injections) per
+// cycle, is deterministic, bit-identical at any POLARSTAR_THREADS, and
+// trace-recordable (trace.h).
 #pragma once
 
 #include <cstdint>
@@ -65,7 +69,10 @@ struct IncastConfig {
 
 class IncastWorkload final : public Workload {
  public:
-  explicit IncastWorkload(IncastConfig cfg = {}) : cfg_(cfg) {}
+  /// Throws std::invalid_argument when burst_fraction is outside [0, 1],
+  /// or when it is positive without a window 0 < burst <= period: either
+  /// would break the time-average contract.
+  explicit IncastWorkload(IncastConfig cfg = {});
 
   std::string name() const override { return "incast"; }
   std::string describe() const override;

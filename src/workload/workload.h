@@ -6,13 +6,15 @@
 // which collective schedule rotates) and mints a fresh TrafficSource per
 // simulated point. That split is what lets one Workload drive many
 // concurrent Simulations on the runlab pool -- all per-point mutable state
-// (RNGs, cursors, phase counters) lives in the instantiated source, the
-// same ownership discipline sim::Network uses for topology and routing.
+// (arrival clocks, cursors, phase counters) lives in the instantiated
+// source, the same ownership discipline sim::Network uses for topology and
+// routing.
 //
 // Pattern traffic is one implementation (generators.h's PatternWorkload
 // wraps sim::make_pattern_source), so the paper's synthetic patterns and
-// the scenario generators flow through one creation path. Trace record /
-// replay lives in trace.h.
+// the scenario generators flow through one creation path, and the open-loop
+// scenarios inject through the patterns' arrival process
+// (sim::OpenLoopSource). Trace record / replay lives in trace.h.
 //
 // Determinism contract: every workload in this subsystem injects from
 // TrafficSource::tick, which the simulator calls once per cycle before

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -318,6 +319,146 @@ TEST(WorkloadGenerators, IncastConvergesOnVictimsDuringBursts) {
   EXPECT_GT(static_cast<double>(burst_victim) / burst_total, 0.5);
   // ...while quiet cycles see victims only as ordinary uniform targets.
   EXPECT_LT(static_cast<double>(quiet_victim) / quiet_total, 0.05);
+}
+
+// Scenario traffic offers the load it is asked for: injected packets per
+// sending endpoint-cycle within 4 sigma of the target, the way
+// Traffic.SkipAheadOfferedLoadMatchesTarget pins the patterns. Incast is
+// checked per window, since its bursts run above the average rate.
+TEST(WorkloadGenerators, ScenarioSourcesOfferTheirLoad) {
+  const auto net =
+      polarstar_net({5, 3, core::SupernodeKind::kInductiveQuad, 2});
+  auto prm = base_params();
+  prm.warmup_cycles = 0;
+  prm.measure_cycles = 6000;
+  prm.drain_cycles = 0;
+  const double load = 0.05;
+  const double p = load / prm.packet_flits;
+  const std::uint64_t eps = net->topology().num_endpoints();
+
+  // Injections by `senders` in the cycles `window` accepts, against rate q.
+  const auto expect_rate = [&](const workload::Trace& trace,
+                               const std::vector<bool>& senders,
+                               const auto& window, double q,
+                               const std::string& what) {
+    std::uint64_t injected = 0, sending = 0, cycles = 0;
+    for (const auto& e : trace.events) {
+      if (senders[e.src] && window(e.cycle)) ++injected;
+    }
+    for (bool s : senders) sending += s;
+    for (std::uint64_t c = 0; c < prm.measure_cycles; ++c) cycles += window(c);
+    const double trials = static_cast<double>(sending * cycles);
+    EXPECT_NEAR(static_cast<double>(injected) / trials, q,
+                4 * std::sqrt(q * (1 - q) / trials))
+        << what;
+  };
+  const auto always = [](std::uint64_t) { return true; };
+
+  // Incast: a victim declines the arrivals it would send to itself.
+  const workload::IncastConfig icfg{
+      .victims = 4, .period = 100, .burst = 10, .burst_fraction = 0.5};
+  std::vector<bool> not_victim(eps, true);
+  for (std::uint32_t v = 0; v < icfg.victims; ++v) {
+    not_victim[v * eps / icfg.victims] = false;
+  }
+  const auto [ires, itrace] =
+      record_run(*net, workload::IncastWorkload(icfg), load, prm);
+  ASSERT_EQ(ires.cycles, prm.measure_cycles);
+  const auto in_burst = [&](std::uint64_t c) {
+    return c % icfg.period < icfg.burst;
+  };
+  const double background = p * (1 - icfg.burst_fraction);
+  expect_rate(itrace, not_victim, always, p, "incast");
+  expect_rate(itrace, not_victim, in_burst,
+              background + p * icfg.burst_fraction * icfg.period / icfg.burst,
+              "incast, burst windows");
+  expect_rate(
+      itrace, not_victim, [&](std::uint64_t c) { return !in_burst(c); },
+      background, "incast, quiet windows");
+
+  // Multi-tenant: every member of a uniform or tornado block sends.
+  const auto [mres, mtrace] = record_run(
+      *net,
+      workload::MultiTenantWorkload({workload::TenantPattern::kUniform,
+                                     workload::TenantPattern::kTornado}),
+      load, prm);
+  ASSERT_EQ(mres.cycles, prm.measure_cycles);
+  expect_rate(mtrace, std::vector<bool>(eps, true), always, p,
+              "multi-tenant");
+
+  // Transient hotspot: a hot endpoint declines hot arrivals to itself.
+  const workload::HotspotConfig hcfg{
+      .begin = 1000, .end = 4000, .hot_fraction = 0.5, .hot_endpoints = 4};
+  std::vector<bool> not_hot(eps, true);
+  for (std::uint32_t h = 0; h < hcfg.hot_endpoints; ++h) {
+    not_hot[h * eps / hcfg.hot_endpoints] = false;
+  }
+  const auto [hres, htrace] =
+      record_run(*net, workload::TransientHotspotWorkload(hcfg), load, prm);
+  ASSERT_EQ(hres.cycles, prm.measure_cycles);
+  expect_rate(htrace, not_hot, always, p, "transient hotspot");
+
+  // Collective: only the 2^b ranks send.
+  std::uint64_t ranks = 1;
+  while (ranks * 2 <= eps) ranks *= 2;
+  std::vector<bool> is_rank(eps, false);
+  for (std::uint64_t r = 0; r < ranks; ++r) is_rank[r] = true;
+  const auto [cres, ctrace] =
+      record_run(*net, workload::CollectiveWorkload(), load, prm);
+  ASSERT_EQ(cres.cycles, prm.measure_cycles);
+  expect_rate(ctrace, is_rank, always, p, "collective");
+}
+
+// A topology with one endpoint has nobody to send to: every scenario, and
+// the stress mix, runs there without injecting anything.
+TEST(WorkloadGenerators, OneEndpointTopologyInjectsNothing) {
+  auto t = std::make_shared<polarstar::topo::Topology>();
+  t->name = "one-endpoint path";
+  t->g = polarstar::graph::Graph::from_edges(2, {{0, 1}});
+  t->conc = {1, 0};
+  t->group_of = {0, 1};  // the adversarial member needs groups
+  t->finalize();
+  const sim::Network net(t, routing::make_table_routing(t->g));
+  const auto prm = base_params();
+  const std::vector<std::shared_ptr<const workload::Workload>> scenarios = {
+      std::make_shared<workload::IncastWorkload>(),
+      std::make_shared<workload::MultiTenantWorkload>(
+          std::vector<workload::TenantPattern>{
+              workload::TenantPattern::kUniform}),
+      std::make_shared<workload::TransientHotspotWorkload>(
+          workload::HotspotConfig{.begin = 0, .end = 1000}),
+      std::make_shared<workload::CollectiveWorkload>(),
+      std::make_shared<workload::PatternWorkload>(sim::Pattern::kUniform)};
+  for (const auto& wl : scenarios) {
+    const auto [res, trace] = record_run(net, *wl, 0.5, prm);
+    EXPECT_TRUE(trace.events.empty()) << wl->name();
+    EXPECT_TRUE(res.stable) << wl->name();
+  }
+  // The stress mix's adversarial member pairs the lone router with itself;
+  // what matters is that its incast member does not crash the run.
+  const auto [res, trace] =
+      record_run(net, *workload::make_stress_workload(), 0.5, prm);
+  EXPECT_TRUE(res.stable);
+  EXPECT_FALSE(res.deadlock);
+}
+
+TEST(WorkloadGenerators, IncastRejectsConfigsThatBreakTheTimeAverage) {
+  using workload::IncastConfig;
+  for (const IncastConfig& bad : {
+           IncastConfig{.burst_fraction = 1.5},
+           IncastConfig{.burst_fraction = -0.1},
+           IncastConfig{.period = 0, .burst_fraction = 0.5},
+           IncastConfig{.burst = 0, .burst_fraction = 0.5},
+           IncastConfig{.period = 16, .burst = 32, .burst_fraction = 0.5},
+       }) {
+    EXPECT_THROW(workload::IncastWorkload{bad}, std::invalid_argument)
+        << bad.period << " " << bad.burst << " " << bad.burst_fraction;
+  }
+  // No burst share needs no window; a window may fill the whole period.
+  EXPECT_NO_THROW(
+      workload::IncastWorkload(IncastConfig{.period = 0, .burst_fraction = 0}));
+  EXPECT_NO_THROW(workload::IncastWorkload(
+      IncastConfig{.period = 32, .burst = 32, .burst_fraction = 1}));
 }
 
 TEST(WorkloadGenerators, MultiTenantNeverCrossesTenantBlocks) {
