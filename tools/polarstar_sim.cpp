@@ -11,8 +11,8 @@
 //              (non-negative integers)
 //
 // A malformed argument, or one the simulator rejects (unknown topology,
-// vcs outside [1, 32], buffers or flits outside [1, 65535]), prints usage
-// and exits with status 2.
+// vcs outside [1, 32], buffers or flits outside [1, 65535], link above
+// 65535), prints usage and exits with status 2.
 //
 // Example:
 //   polarstar_sim PS-IQ uniform ugal 0.2 0.4 0.6 vcs=8 seed=3
