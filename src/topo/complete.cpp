@@ -15,7 +15,7 @@ Supernode build(std::uint32_t d_prime) {
   sn.f.resize(n);
   for (Vertex v = 0; v < n; ++v) sn.f[v] = v;  // identity
   sn.f_is_involution = true;
-  sn.name = "K" + std::to_string(n);
+  sn.name = 'K' + std::to_string(n);
   return sn;
 }
 

@@ -39,7 +39,8 @@ Topology build(const Params& prm) {
   Topology topo;
   topo.name = "HyperX(";
   for (std::size_t d = 0; d < prm.dims.size(); ++d) {
-    topo.name += (d ? "x" : "") + std::to_string(prm.dims[d]);
+    if (d != 0) topo.name += 'x';
+    topo.name += std::to_string(prm.dims[d]);
   }
   topo.name += ",p=" + std::to_string(prm.p) + ")";
   topo.g = builder.build();

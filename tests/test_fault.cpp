@@ -57,16 +57,6 @@ sim::SimParams short_params(std::uint64_t seed = 11) {
   return p;
 }
 
-topo::Topology two_triangles() {
-  topo::Topology t;
-  t.name = "two-triangles";
-  t.g = g::Graph::from_edges(6,
-                             {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}});
-  t.conc.assign(6, 1);
-  t.finalize();
-  return t;
-}
-
 bool same_result(const sim::SimResult& a, const sim::SimResult& b) {
   return a.stable == b.stable && a.cycles == b.cycles &&
          a.packets_delivered == b.packets_delivered &&

@@ -395,7 +395,9 @@ TEST(PerfEquivalence, RunBuffersAtCapacityEdges) {
     EXPECT_EQ(fast.cycles, c.cycles);
     EXPECT_EQ(fast.packets_delivered, c.delivered);
     EXPECT_EQ(hop_sum * c.packet_flits, c.flit_hops);
-    if (c.faults) EXPECT_GT(fast.packets_dropped, 0u);
+    if (c.faults) {
+      EXPECT_GT(fast.packets_dropped, 0u);
+    }
   }
 }
 

@@ -222,8 +222,12 @@ TEST(TraceExport, PerfettoJsonRoundTripsWithOneSpanPerPacket) {
   ASSERT_FALSE(res.packet_traces.empty());
 
   std::vector<io::PacketTraceGroup> groups(2);
-  groups[0] = {"uniform @ 0.2", res.cycles, res.packet_traces};
-  groups[1] = {"copy", res.cycles, res.packet_traces};
+  groups[0].label = "uniform @ 0.2";
+  groups[1].label = "copy";
+  for (auto& grp : groups) {
+    grp.run_cycles = res.cycles;
+    grp.traces = res.packet_traces;
+  }
   std::ostringstream os;
   io::write_chrome_trace(os, groups);
 

@@ -89,8 +89,12 @@ TEST(Traffic, BitPatternsStayInPowerOfTwoDomain) {
       EXPECT_EQ(dr, sim::PatternSource::kNoTraffic);
       continue;
     }
-    if (ds != sim::PatternSource::kNoTraffic) EXPECT_LT(ds, 64u);
-    if (dr != sim::PatternSource::kNoTraffic) EXPECT_LT(dr, 64u);
+    if (ds != sim::PatternSource::kNoTraffic) {
+      EXPECT_LT(ds, 64u);
+    }
+    if (dr != sim::PatternSource::kNoTraffic) {
+      EXPECT_LT(dr, 64u);
+    }
   }
   // Spot-check the definitions: shuffle(1) = 2 in 6 bits; reverse(1) = 32.
   EXPECT_EQ(shuffle.destination(1, *shell.s), 2u);
