@@ -328,8 +328,8 @@ TEST(MetricsSeries, PerCaseIntervalOverridesRunnerDefault) {
 }
 
 // The self-profiler is observational: bit-identical SimResult with it on
-// or off, a populated report when on, and an inert report under
-// reference_impl (the frozen twin is unwired).
+// or off, and a populated report when on -- under reference_impl too,
+// where the route phase times the reference sweep.
 TEST(EngineProfiler, ObservationalAndPopulated) {
   const auto net =
       polarstar_net({5, 3, core::SupernodeKind::kInductiveQuad, 2});
@@ -349,8 +349,13 @@ TEST(EngineProfiler, ObservationalAndPopulated) {
   auto ref_prm = prof_prm;
   ref_prm.reference_impl = true;
   const auto ref = run_series(*net, ref_prm, 0.25, 100);
-  EXPECT_FALSE(ref.result.profile.enabled);
-  EXPECT_EQ(ref.result.profile.cycles, 0u);
+  expect_identical(on.intervals, ref.intervals);
+  EXPECT_EQ(on.result.cycles, ref.result.cycles);
+  EXPECT_EQ(on.result.packets_delivered, ref.result.packets_delivered);
+  EXPECT_EQ(on.result.avg_packet_latency, ref.result.avg_packet_latency);
+  ASSERT_TRUE(ref.result.profile.enabled);
+  EXPECT_EQ(ref.result.profile.cycles, ref.result.cycles);
+  EXPECT_GT(ref.result.profile.route_seconds, 0.0);
 }
 
 // Runner-level profiling: the report goes to the injected stream, the JSON
