@@ -218,26 +218,19 @@ RootedTree root_tree(const TreeEdges& tree, graph::Vertex n,
   rt.root = root;
   rt.parent.assign(n, n);  // n = unvisited sentinel
   rt.children.assign(n, {});
-  std::vector<std::uint32_t> depth(n, 0);
   std::vector<Vertex> queue{root};
   rt.parent[root] = root;
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const Vertex v = queue[head];
-    rt.depth = std::max(rt.depth, depth[v]);
     for (Vertex w : adj[v]) {
       if (rt.parent[w] != n) continue;
       rt.parent[w] = v;
       rt.children[v].push_back(w);
-      depth[w] = depth[v] + 1;
       queue.push_back(w);
     }
   }
   if (queue.size() != n) {
     throw std::invalid_argument("root_tree: edges do not span");
-  }
-  for (const auto& c : rt.children) {
-    rt.max_fanout =
-        std::max(rt.max_fanout, static_cast<std::uint32_t>(c.size()));
   }
   return rt;
 }

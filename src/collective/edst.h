@@ -89,8 +89,6 @@ struct RootedTree {
   graph::Vertex root = 0;
   std::vector<graph::Vertex> parent;  // parent[root] == root
   std::vector<std::vector<graph::Vertex>> children;
-  std::uint32_t depth = 0;       // max hops root -> leaf
-  std::uint32_t max_fanout = 0;  // widest children list (root included)
 };
 
 /// Roots `tree` (an edge list over n vertices) at `root`. Throws

@@ -16,13 +16,9 @@ namespace {
 enum Kind : std::uint64_t {
   kTreeDown = 1,
   kTreeUp = 2,
-  kBinDown = 3,
-  kBinUp = 4,
-  kRdFold = 5,
-  kRdExchange = 6,
-  kRdUnfold = 7,
-  kRingFwd = 8,
-  kRingUp = 9,
+  kRdFold = 3,
+  kRdExchange = 4,
+  kRdUnfold = 5,
 };
 
 constexpr std::uint64_t kTagFlag = 1ull << 63;
@@ -45,6 +41,27 @@ std::uint32_t pow2_floor(std::uint32_t v) {
   std::uint32_t p = 1;
   while (p * 2 <= v) p *= 2;
   return p;
+}
+
+// The binomial or ring tree over the ranks in virtual-rank order vr =
+// (rank - root) mod R: vr > 0 hangs under vr - 1 (ring) or vr minus its
+// top set bit (binomial), so children lists come out in ascending vr.
+// Routers without endpoints stay outside the tree.
+RootedTree rank_tree(const std::vector<Vertex>& ranks, std::uint32_t root,
+                     Vertex n, bool ring) {
+  const auto R = static_cast<std::uint32_t>(ranks.size());
+  const auto router = [&](std::uint32_t vr) { return ranks[(vr + root) % R]; };
+  RootedTree t;
+  t.root = router(0);
+  t.parent.assign(n, n);  // n = outside the tree
+  t.children.assign(n, {});
+  t.parent[t.root] = t.root;
+  for (std::uint32_t vr = 1; vr < R; ++vr) {
+    const std::uint32_t up = ring ? vr - 1 : vr - pow2_floor(vr);
+    t.parent[router(vr)] = router(up);
+    t.children[router(up)].push_back(router(vr));
+  }
+  return t;
 }
 
 }  // namespace
@@ -103,6 +120,11 @@ CollectiveEngine::CollectiveEngine(const topo::Topology& topo,
       trees_.push_back(root_tree(t, n, root_router));
     }
   }
+  if (spec_.algorithm == Algorithm::kBinomial ||
+      spec_.algorithm == Algorithm::kRing) {
+    trees_.push_back(rank_tree(ranks_, spec_.root, n,
+                               spec_.algorithm == Algorithm::kRing));
+  }
   if (spec_.algorithm == Algorithm::kRecursiveDoubling &&
       spec_.op != Op::kAllreduce) {
     throw std::invalid_argument(
@@ -159,11 +181,10 @@ void CollectiveEngine::start(sim::Simulation& sim) {
     done_cycle_ = sim.cycle();
     return;
   }
-  switch (spec_.algorithm) {
-    case Algorithm::kEdst: edst_start(); break;
-    case Algorithm::kBinomial: binomial_start(); break;
-    case Algorithm::kRecursiveDoubling: rd_start(); break;
-    case Algorithm::kRing: ring_start(); break;
+  if (spec_.algorithm == Algorithm::kRecursiveDoubling) {
+    rd_start();
+  } else {
+    tree_start();
   }
 }
 
@@ -174,20 +195,12 @@ void CollectiveEngine::on_delivered(sim::Simulation& sim,
   switch (tag_kind(pkt.tag)) {
     case kTreeDown:
     case kTreeUp:
-      edst_on(sim, pkt.tag, pkt.dst_router);
-      break;
-    case kBinDown:
-    case kBinUp:
-      binomial_on(sim, pkt.tag, pkt.dst_router);
+      tree_on(sim, pkt.tag, pkt.dst_router);
       break;
     case kRdFold:
     case kRdExchange:
     case kRdUnfold:
       rd_on(sim, pkt.tag, pkt.dst_router);
-      break;
-    case kRingFwd:
-    case kRingUp:
-      ring_on(sim, pkt.tag, pkt.dst_router);
       break;
   }
 }
@@ -197,9 +210,13 @@ bool CollectiveEngine::finished(const sim::Simulation& sim) const {
   return started_ && deliveries_ == expected_ && pending_.empty();
 }
 
-// ---------------------------------------------------------------- edst --
+// ---------------------------------------------------------------- tree --
+// Chunk c travels on tree (c mod k). The root releases chunk c to all of
+// its children before chunk c + 1 (chunk-major), in broadcast and in the
+// allreduce rebroadcast alike; reduction leaves release their chunks rank
+// by rank.
 
-void CollectiveEngine::edst_start() {
+void CollectiveEngine::tree_start() {
   const Vertex n = topo_->num_routers();
   const Vertex root = ranks_[spec_.root];
   const auto k = static_cast<std::uint32_t>(trees_.size());
@@ -212,12 +229,12 @@ void CollectiveEngine::edst_start() {
     }
     return;
   }
-  // Reduction: leaves contribute immediately; interior routers forward up
+  // Reduction: leaves contribute immediately; interior ranks forward up
   // once every child's contribution for the chunk has been combined.
   tree_need_.assign(static_cast<std::size_t>(chunks_) * n, 0);
-  for (std::uint32_t c = 0; c < chunks_; ++c) {
-    const std::uint32_t m = c % k;
-    for (Vertex v = 0; v < n; ++v) {
+  for (Vertex v : ranks_) {
+    for (std::uint32_t c = 0; c < chunks_; ++c) {
+      const std::uint32_t m = c % k;
       const auto need =
           static_cast<std::uint32_t>(trees_[m].children[v].size());
       tree_need_[static_cast<std::size_t>(c) * n + v] = need;
@@ -228,7 +245,7 @@ void CollectiveEngine::edst_start() {
   }
 }
 
-void CollectiveEngine::edst_on(sim::Simulation& sim, std::uint64_t tag,
+void CollectiveEngine::tree_on(sim::Simulation& sim, std::uint64_t tag,
                                Vertex at_router) {
   const std::uint32_t c = tag_chunk(tag);
   const std::uint32_t m = tag_meta(tag);
@@ -251,75 +268,6 @@ void CollectiveEngine::edst_on(sim::Simulation& sim, std::uint64_t tag,
   if (spec_.op == Op::kAllreduce) {
     for (Vertex child : trees_[m].children[root]) {
       pend(root, child, make_tag(kTreeDown, m, c));
-    }
-  }
-}
-
-// ------------------------------------------------------------ binomial --
-// Virtual ranks vr = (rank - root) mod R; parent(vr) = vr minus its top
-// set bit, children(vr) = { vr + b : b a power of two, b > vr, vr+b < R }.
-// Both phases are chunk-pipelined: a chunk moves on as soon as it is
-// received (down) or fully combined (up).
-
-void CollectiveEngine::binomial_start() {
-  const auto R = num_ranks();
-  const auto vrank = [&](std::uint32_t rank) { return (rank + R - spec_.root) % R; };
-  const auto rank_of = [&](std::uint32_t vr) { return (vr + spec_.root) % R; };
-  if (spec_.op == Op::kBroadcast) {
-    for (std::uint32_t b = 1; b < R; b *= 2) {
-      for (std::uint32_t c = 0; c < chunks_; ++c) {
-        pend(ranks_[spec_.root], ranks_[rank_of(b)], make_tag(kBinDown, 0, c));
-      }
-    }
-    return;
-  }
-  bin_up_recv_.assign(static_cast<std::size_t>(R) * chunks_, 0);
-  for (std::uint32_t rank = 0; rank < R; ++rank) {
-    const std::uint32_t vr = vrank(rank);
-    if (vr == 0) continue;
-    bool leaf = true;
-    for (std::uint32_t b = 1; b < R; b *= 2) {
-      if (b > vr && vr + b < R) { leaf = false; break; }
-    }
-    if (leaf) {
-      const std::uint32_t up = rank_of(vr - pow2_floor(vr));
-      for (std::uint32_t c = 0; c < chunks_; ++c) {
-        pend(ranks_[rank], ranks_[up], make_tag(kBinUp, 0, c));
-      }
-    }
-  }
-}
-
-void CollectiveEngine::binomial_on(sim::Simulation& sim, std::uint64_t tag,
-                                   Vertex at_router) {
-  const auto R = num_ranks();
-  const std::uint32_t rank = rank_of_router_[at_router];
-  const std::uint32_t vr = (rank + R - spec_.root) % R;
-  const auto rank_of = [&](std::uint32_t v) { return (v + spec_.root) % R; };
-  const std::uint32_t c = tag_chunk(tag);
-  if (tag_kind(tag) == kBinDown) {
-    for (std::uint32_t b = 1; b < R; b *= 2) {
-      if (b > vr && vr + b < R) {
-        pend(at_router, ranks_[rank_of(vr + b)], tag);
-      }
-    }
-    return;
-  }
-  std::uint32_t children = 0;
-  for (std::uint32_t b = 1; b < R; b *= 2) {
-    if (b > vr && vr + b < R) ++children;
-  }
-  auto& recv = bin_up_recv_[static_cast<std::size_t>(rank) * chunks_ + c];
-  if (++recv != children) return;
-  if (vr != 0) {
-    pend(at_router, ranks_[rank_of(vr - pow2_floor(vr))],
-         make_tag(kBinUp, 0, c));
-    return;
-  }
-  if (++root_chunks_done_ == chunks_) reduce_done_cycle_ = sim.cycle();
-  if (spec_.op == Op::kAllreduce) {
-    for (std::uint32_t b = 1; b < R; b *= 2) {
-      pend(at_router, ranks_[rank_of(b)], make_tag(kBinDown, 0, c));
     }
   }
 }
@@ -407,47 +355,6 @@ void CollectiveEngine::rd_on(sim::Simulation& sim, std::uint64_t tag,
     }
     default:  // kRdUnfold terminates at the extra rank
       break;
-  }
-}
-
-// ---------------------------------------------------------------- ring --
-// Chunk-pipelined ring over virtual-rank order. Broadcast flows forward
-// from vr 0; reduction flows from vr R-1 down to the root, combining at
-// every stop; allreduce rebroadcasts each chunk the moment it is rooted.
-
-void CollectiveEngine::ring_start() {
-  const auto R = num_ranks();
-  const auto rank_of = [&](std::uint32_t vr) { return (vr + spec_.root) % R; };
-  if (spec_.op == Op::kBroadcast) {
-    for (std::uint32_t c = 0; c < chunks_; ++c) {
-      pend(ranks_[spec_.root], ranks_[rank_of(1)], make_tag(kRingFwd, 0, c));
-    }
-    return;
-  }
-  for (std::uint32_t c = 0; c < chunks_; ++c) {
-    pend(ranks_[rank_of(R - 1)], ranks_[rank_of(R - 2)],
-         make_tag(kRingUp, 0, c));
-  }
-}
-
-void CollectiveEngine::ring_on(sim::Simulation& sim, std::uint64_t tag,
-                               Vertex at_router) {
-  const auto R = num_ranks();
-  const std::uint32_t rank = rank_of_router_[at_router];
-  const std::uint32_t vr = (rank + R - spec_.root) % R;
-  const auto rank_of = [&](std::uint32_t v) { return (v + spec_.root) % R; };
-  const std::uint32_t c = tag_chunk(tag);
-  if (tag_kind(tag) == kRingFwd) {
-    if (vr + 1 < R) pend(at_router, ranks_[rank_of(vr + 1)], tag);
-    return;
-  }
-  if (vr > 0) {
-    pend(at_router, ranks_[rank_of(vr - 1)], tag);
-    return;
-  }
-  if (++root_chunks_done_ == chunks_) reduce_done_cycle_ = sim.cycle();
-  if (spec_.op == Op::kAllreduce && R > 1) {
-    pend(at_router, ranks_[rank_of(1)], make_tag(kRingFwd, 0, c));
   }
 }
 

@@ -2,7 +2,7 @@
 // over a PolarStar's edge-disjoint spanning trees, or over classic unicast
 // algorithms (binomial tree, recursive doubling, ring) for comparison.
 //
-// The engine is a sim::TrafficSource. Every collective "hop" is a plain
+// The engine is a sim::TrafficSource. Every EDST "hop" is a plain
 // single-hop unicast between neighboring routers' endpoints: a packet is
 // enqueued at the child's endpoint, minimal-routed (one hop -- at distance
 // 1 the strict-distance-decrease rule admits exactly the destination, so
@@ -12,15 +12,26 @@
 // datapath: no flit replication in switches, no VC changes, and therefore
 // the existing bit-identity contracts (threads x reference_impl) hold for
 // free -- tick() runs in the injection phase and on_delivered() in the
-// end-of-cycle finalize pass, in router order, in both engines. The price is store-and-forward latency per tree level,
-// which is the honest cost of an endpoint-level collective; in-switch
-// wormhole replication is future work (documented in docs/THEORY.md).
+// end-of-cycle finalize pass, in router order, in both engines. The price
+// is store-and-forward latency per tree level, which is the honest cost of
+// an endpoint-level collective; in-switch wormhole replication is future
+// work (documented in docs/THEORY.md).
 //
-// EDST scheduling: chunk c travels on tree (c mod k), so the k disjoint
-// trees carry k chunks concurrently on disjoint link sets -- the
-// bandwidth-optimality argument of arXiv 2403.12231. The unicast
-// algorithms move every chunk over point-to-point routes (MIN or UGAL,
-// whatever the SimParams say) with the usual MPI-style schedules.
+// One tree schedule: EDST, binomial and ring are all rooted trees, run by
+// the same tree_start()/tree_on(). Chunk c travels on tree (c mod k), so
+// the k disjoint EDSTs carry k chunks concurrently on disjoint link sets --
+// the bandwidth-optimality argument of arXiv 2403.12231. Binomial and ring
+// are one tree each over the ranks in virtual-rank order vr = (rank -
+// root) mod R, children in ascending vr: binomial hangs vr under vr minus
+// its top set bit, ring under vr - 1. Their edges are point-to-point
+// routes (MIN or UGAL, whatever the SimParams say), not single links.
+// Down the tree a rank forwards a chunk as soon as it lands; up the tree
+// it forwards once every child's contribution is combined, and allreduce
+// rebroadcasts a chunk from the root the moment it is reduced. The root
+// releases chunk c to all its children before chunk c + 1 (chunk-major);
+// releasing child by child instead slows EDST broadcast (EXPERIMENTS.md,
+// "One tree schedule").
+// Recursive doubling is not a tree and keeps its own schedule.
 //
 // Determinism: the engine never touches the simulator RNG; all schedules
 // are pure functions of (topology, spec, chunks). Closed-loop sources are
@@ -95,27 +106,24 @@ class CollectiveEngine final : public sim::TrafficSource {
             std::uint64_t tag);
   void note_delivery(sim::Simulation& sim);
 
-  // -- per-algorithm schedules (rank-space helpers in engine.cpp) --
-  void edst_start();
-  void edst_on(sim::Simulation& sim, std::uint64_t tag,
+  // -- schedules: one for every tree (edst, binomial, ring), one for
+  // recursive doubling --
+  void tree_start();
+  void tree_on(sim::Simulation& sim, std::uint64_t tag,
                graph::Vertex at_router);
-  void binomial_start();
-  void binomial_on(sim::Simulation& sim, std::uint64_t tag,
-                   graph::Vertex at_router);
   void rd_start();
   void rd_on(sim::Simulation& sim, std::uint64_t tag, graph::Vertex at_router);
   void rd_enter(std::uint32_t rank);
   void rd_advance(std::uint32_t rank);
   void rd_finish(std::uint32_t rank);
-  void ring_start();
-  void ring_on(sim::Simulation& sim, std::uint64_t tag,
-               graph::Vertex at_router);
 
   const topo::Topology* topo_;
   CollectiveSpec spec_;
   std::uint32_t chunks_;
   std::shared_ptr<const EdstSet> edsts_;  // keeps the tree storage alive
-  std::vector<RootedTree> trees_;         // rooted at the root rank's router
+  // Rooted at the root rank's router: the EDSTs, or the one binomial or
+  // ring tree over the ranks (empty for recursive doubling).
+  std::vector<RootedTree> trees_;
 
   std::vector<graph::Vertex> ranks_;          // rank -> router
   std::vector<std::uint32_t> rank_of_router_;  // router -> rank (or invalid)
@@ -129,12 +137,10 @@ class CollectiveEngine final : public sim::TrafficSource {
   std::uint64_t reduce_done_cycle_ = 0;
   std::uint64_t start_cycle_ = 0;
 
-  // edst reduce: outstanding child contributions per (chunk, router);
-  // shared root-side chunk counter (edst / binomial / ring reductions).
+  // tree reduce: outstanding child contributions per (chunk, router), and
+  // the chunks fully reduced at the root.
   std::vector<std::uint32_t> tree_need_;
   std::uint32_t root_chunks_done_ = 0;
-  // binomial reduce: received contributions per (rank, chunk).
-  std::vector<std::uint32_t> bin_up_recv_;
   // recursive doubling.
   std::uint32_t rd_p2_ = 0, rd_rem_ = 0, rd_rounds_ = 0;
   std::vector<std::uint32_t> rd_round_;      // next round awaited (per rank)

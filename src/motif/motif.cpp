@@ -65,6 +65,11 @@ void StepProgram::try_advance(sim::Simulation& sim, std::uint32_t rank) {
 
 void StepProgram::tick(sim::Simulation& sim) {
   if (started_) return;
+  // Rank i is endpoint i, and enqueue_packet does not check its endpoints.
+  if (ranks_ > sim.network().topology().num_endpoints()) {
+    throw std::invalid_argument(
+        "StepProgram: more ranks than the topology has endpoints");
+  }
   started_ = true;
   // try_advance issues each rank's first sends (immediately for exchange
   // steps, after receives for wavefront steps) and skips empty steps.

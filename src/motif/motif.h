@@ -9,7 +9,8 @@
 // faster neighbors are buffered by counting them toward their step.
 //
 // Ranks map linearly onto endpoints (rank i = endpoint i), matching the
-// paper's setup. Messages are split into packets of the simulator's packet
+// paper's setup; tick() throws std::invalid_argument when there are more
+// ranks than the topology has endpoints. Messages are split into packets of the simulator's packet
 // size; message size is expressed in packets per message.
 #pragma once
 

@@ -237,6 +237,9 @@ class Simulation {
   SimResult run_app(std::uint64_t max_cycles);
 
   /// Enqueue a packet of packet_flits flits into the source queue.
+  /// Unchecked, as it is on the injection hot path: src_ep and dst_ep must
+  /// be below the topology's num_endpoints(), or it reads and writes past
+  /// the per-endpoint arrays.
   void enqueue_packet(std::uint64_t src_ep, std::uint64_t dst_ep,
                       std::uint64_t tag = 0);
 

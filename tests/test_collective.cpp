@@ -27,6 +27,7 @@
 #include "runlab/runner.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
+#include "topo/fattree.h"
 
 namespace analysis = polarstar::analysis;
 namespace collective = polarstar::collective;
@@ -205,8 +206,9 @@ TEST(RootedTree, ShapeAndErrors) {
   EXPECT_EQ(rt.parent[0], 1u);
   EXPECT_EQ(rt.parent[2], 1u);
   EXPECT_EQ(rt.parent[3], 2u);
-  EXPECT_EQ(rt.depth, 2u);
-  EXPECT_EQ(rt.max_fanout, 2u);
+  EXPECT_EQ(rt.children[1], (std::vector<g::Vertex>{0, 2}));
+  EXPECT_EQ(rt.children[2], (std::vector<g::Vertex>{3}));
+  EXPECT_TRUE(rt.children[0].empty());
   EXPECT_THROW(collective::root_tree({{0, 1}, {2, 3}, {0, 1}}, 4, 0),
                std::invalid_argument);
   EXPECT_THROW(collective::root_tree({{0, 1}}, 4, 0), std::invalid_argument);
@@ -269,6 +271,31 @@ TEST(CollectiveEngine, UnicastAlgorithmsComplete) {
   EXPECT_EQ(got, want);
 }
 
+TEST(CollectiveEngine, RankTreesSkipSwitchRoutersOnFatTree) {
+  // Fat tree p = 3: only the 9 leaf routers of 27 carry endpoints, so the
+  // binomial and ring trees hang over ranks, not routers. Root rank 4
+  // makes the virtual ranks wrap around.
+  auto ft = std::make_shared<const polarstar::topo::Topology>(
+      polarstar::topo::fattree::build({3}));
+  const sim::Network net(ft, routing::make_table_routing(ft->g));
+  for (auto alg : {Algorithm::kBinomial, Algorithm::kRing}) {
+    for (auto op : {Op::kBroadcast, Op::kReduce, Op::kAllreduce}) {
+      CollectiveEngine eng(*ft, {op, alg, 4}, 3);
+      EXPECT_EQ(eng.num_ranks(), 9u);
+      EXPECT_EQ(eng.num_trees(), 1u);
+      sim::Simulation s(net, app_params(), eng);
+      const auto res = s.run_app(kCap);
+      EXPECT_TRUE(res.stable)
+          << collective::to_string(op) << "/" << collective::to_string(alg);
+      const std::uint64_t per_phase = 3ull * 8;
+      EXPECT_EQ(eng.expected_deliveries(),
+                op == Op::kAllreduce ? 2 * per_phase : per_phase);
+      EXPECT_EQ(eng.deliveries(), eng.expected_deliveries());
+      EXPECT_EQ(res.packets_delivered, eng.expected_deliveries());
+    }
+  }
+}
+
 TEST(CollectiveEngine, InvalidSpecsThrow) {
   auto inst = make_instance({3, 3, core::SupernodeKind::kInductiveQuad, 1});
   const auto& topo = inst.net->topology();
@@ -296,7 +323,7 @@ TEST(CollectiveEngine, InvalidSpecsThrow) {
 
 TEST(CollectiveEngine, BitIdenticalVsReference) {
   auto inst = make_instance({4, 3, core::SupernodeKind::kInductiveQuad, 1});
-  for (auto alg : {Algorithm::kEdst, Algorithm::kBinomial}) {
+  for (auto alg : {Algorithm::kEdst, Algorithm::kBinomial, Algorithm::kRing}) {
     const CollectiveSpec spec{Op::kAllreduce, alg, 0};
     auto prm = app_params();
     const auto base = run_engine(inst, spec, 4, prm);

@@ -8,7 +8,6 @@
 
 #include "core/polarstar.h"
 #include "motif/allreduce.h"
-#include "motif/halo.h"
 #include "motif/sweep3d.h"
 #include "routing/routing.h"
 #include "sim/simulation.h"
@@ -177,41 +176,19 @@ TEST(Motif, BinomialTreeVsRecursiveDoublingMessageCounts) {
   EXPECT_GT(rd.messages_sent(), bt.messages_sent());
 }
 
-TEST(Motif, Halo2dExchangeCounts) {
-  auto t = std::make_shared<topo::Topology>(ring_topology(8, 2));
-  auto r = routing::make_table_routing(t->g);
-  auto prog = motif::make_halo2d(4, 4, 2, 3);
-  auto res = run_motif(t, r, prog);
-  EXPECT_TRUE(res.stable);
-  // Messages per iteration = directed neighbor pairs: 2 * (2 * 3 * 4) = 48.
-  EXPECT_EQ(prog.messages_sent(), 48u * 3);
-}
-
-TEST(Motif, Halo3dExchangeCounts) {
-  auto t = std::make_shared<topo::Topology>(ring_topology(8, 1));
-  auto r = routing::make_table_routing(t->g);
-  auto prog = motif::make_halo3d(2, 2, 2, 1, 2);
-  auto res = run_motif(t, r, prog);
-  EXPECT_TRUE(res.stable);
-  // 2x2x2 grid: each rank has 3 neighbors -> 24 directed messages/iter.
-  EXPECT_EQ(prog.messages_sent(), 24u * 2);
-}
-
-TEST(Motif, HaloScalesWithIterations) {
-  auto t = std::make_shared<topo::Topology>(ring_topology(8, 2));
-  auto r = routing::make_table_routing(t->g);
-  auto one = motif::make_halo2d(4, 4, 4, 1);
-  auto five = motif::make_halo2d(4, 4, 4, 5);
-  auto r1 = run_motif(t, r, one);
-  auto r5 = run_motif(t, r, five);
-  EXPECT_TRUE(r1.stable);
-  EXPECT_TRUE(r5.stable);
-  EXPECT_GT(r5.cycles, 3 * r1.cycles);
-}
-
 TEST(Motif, UniformStepCountEnforced) {
   motif::StepProgram prog(2, 1);
   prog.set_program(0, {{{1}, 1}});
   EXPECT_THROW(prog.set_program(1, {{{0}, 1}, {{0}, 1}}),
                std::invalid_argument);
+}
+
+TEST(Motif, MoreRanksThanEndpointsRejected) {
+  // 64 ranks on 16 endpoints: rank i = endpoint i would write past the
+  // simulator's per-endpoint queues.
+  auto t = std::make_shared<topo::Topology>(ring_topology(8, 2));
+  auto r = routing::make_table_routing(t->g);
+  auto prog = motif::make_allreduce(
+      64, 1, 1, motif::AllreduceAlgorithm::kRecursiveDoubling);
+  EXPECT_THROW(run_motif(t, r, prog), std::invalid_argument);
 }
