@@ -6,6 +6,8 @@
 // pool; results are deterministic regardless of thread count.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -54,12 +56,22 @@ double avg_path_length(const Graph& g);
 /// (kUnreachable for none). Emits nothing when d is 0 or kUnreachable.
 /// MinimalNextHops, the fault layer's survivor fallback, the analytic
 /// PolarStar routing and sim::Network's route table all call this.
+/// Neighbours are tested 64 at a time into a bit mask, without a branch
+/// per neighbour, and the mask's bits are then emitted in ascending order.
 template <typename Dist, typename Emit>
 void for_each_closer_neighbor(std::span<const Vertex> nbrs, std::uint32_t d,
                               Dist&& dist, Emit&& emit) {
   if (d == 0 || d == kUnreachable) return;
-  for (std::uint32_t i = 0; i < nbrs.size(); ++i) {
-    if (dist(nbrs[i]) + 1 == d) emit(i);
+  const auto deg = static_cast<std::uint32_t>(nbrs.size());
+  for (std::uint32_t base = 0; base < deg; base += 64) {
+    const std::uint32_t end = std::min(base + 64, deg);
+    std::uint64_t closer = 0;
+    for (std::uint32_t i = base; i < end; ++i) {
+      closer |= std::uint64_t{dist(nbrs[i]) + 1 == d} << (i - base);
+    }
+    for (; closer != 0; closer &= closer - 1) {
+      emit(base + static_cast<std::uint32_t>(std::countr_zero(closer)));
+    }
   }
 }
 

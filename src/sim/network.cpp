@@ -1,6 +1,7 @@
 #include "sim/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -15,6 +16,10 @@ Network::Network(std::shared_ptr<const topo::Topology> topo,
     throw std::invalid_argument("Network: topology and routing must be set");
   }
   n_ = topo_->g.num_vertices();
+  if (n_ > graph::DistanceMatrix::kMaxVertices) {
+    throw std::length_error(
+        "Network: more than 0xFFFF routers overflow uint16 route ids");
+  }
   port_base_.assign(n_ + 1, 0);
   for (Vertex r = 0; r < n_; ++r) {
     port_base_[r + 1] = port_base_[r] + topo_->g.degree(r);
@@ -40,67 +45,115 @@ Network::Network(std::shared_ptr<const topo::Topology> topo,
         reverse_port_[link];
   }
 
-  // Flatten distances and minimal next hops into one entry per pair. A
+  // Flatten distances and minimal next hops, one source row at a time. A
   // graph-minimal routing hands over its distance matrix, and each pair's
   // ports are the link ports one hop closer (port order is sorted-neighbour
   // order, so no port_toward search); any other routing is asked pair by
   // pair.
-  routes_.resize(static_cast<std::size_t>(n_) * n_);
-  std::vector<std::uint16_t> ports;
   if (const auto dist = routing_->minimal_distances()) {
     if (dist->size() != n_) {
       throw std::logic_error("Network: distance matrix size != router count");
     }
-    for (Vertex s = 0; s < n_; ++s) {
-      const auto nb = topo_->g.neighbors(s);
-      for (Vertex d = 0; d < n_; ++d) {
-        const std::uint32_t sd = dist->distance(s, d);
-        ports.clear();
-        graph::for_each_closer_neighbor(
-            nb, sd, [&](Vertex w) { return dist->distance(w, d); },
-            [&](std::uint32_t p) {
-              ports.push_back(static_cast<std::uint16_t>(p));
-            });
-        set_route(s, d, sd, ports);
-      }
-    }
+    build_routes([&](Vertex s, Vertex d, std::vector<std::uint16_t>& ports) {
+      const std::uint32_t sd = dist->distance(s, d);
+      graph::for_each_closer_neighbor(
+          topo_->g.neighbors(s), sd,
+          // at()'s unreachable 0xFFFF plus one never equals a finite sd.
+          [&](Vertex w) { return std::uint32_t{dist->at(w, d)}; },
+          [&](std::uint32_t p) {
+            ports.push_back(static_cast<std::uint16_t>(p));
+          });
+      return sd;
+    });
   } else {
     std::vector<Vertex> hops;
-    for (Vertex s = 0; s < n_; ++s) {
-      for (Vertex d = 0; d < n_; ++d) {
-        hops.clear();
-        if (s != d) routing_->next_hops(s, d, hops);
-        ports.clear();
-        for (Vertex w : hops) {
-          ports.push_back(static_cast<std::uint16_t>(port_toward(s, w)));
-        }
-        set_route(s, d, routing_->distance(s, d), ports);
+    build_routes([&](Vertex s, Vertex d, std::vector<std::uint16_t>& ports) {
+      hops.clear();
+      if (s != d) routing_->next_hops(s, d, hops);
+      for (Vertex w : hops) {
+        ports.push_back(static_cast<std::uint16_t>(port_toward(s, w)));
       }
-    }
+      return routing_->distance(s, d);
+    });
   }
 }
 
-void Network::set_route(Vertex s, Vertex d, std::uint32_t dist,
-                        std::span<const std::uint16_t> ports) {
-  // The DistanceMatrix narrowing convention: graph::kUnreachable <->
-  // 0xFFFF. A matrix never holds a larger distance; a per-pair routing
-  // could.
-  if (dist != graph::kUnreachable && dist >= 0xFFFFu) {
-    throw std::logic_error("Network: routing distance overflows uint16");
+template <typename RouteOf>
+void Network::build_routes(RouteOf&& route_of) {
+  entry_id_.resize(static_cast<std::size_t>(n_) * n_);
+  row_base_.resize(n_);
+  // Per-row dedupe on (distance, ports in routing order): an
+  // open-addressing table with linear probing, cleared per row. A route
+  // with its ports inline keys on its 8 bytes, which are the whole route; a
+  // longer list keys on its distance, length and a 32-bit digest of its
+  // port set, and a match also compares the list, which tells port orders
+  // and digest collisions apart. A row has at most n distinct routes, so
+  // the table is never more than half full.
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t id = 0;  // row-local id + 1; 0 for an empty slot
+  };
+  std::vector<Slot> slots(std::bit_ceil(2 * std::size_t{n_}));
+  const std::size_t mask = slots.size() - 1;
+  const int shift = 64 - std::countr_zero(slots.size());  // n >= 1 below
+  std::vector<std::size_t> used;  // this row's filled slots
+  std::vector<std::uint16_t> ports;
+  for (Vertex s = 0; s < n_; ++s) {
+    const auto base = static_cast<std::uint32_t>(entries_.size());
+    row_base_[s] = base;
+    for (std::size_t u : used) slots[u].id = 0;
+    used.clear();
+    std::uint16_t* ids = entry_id_.data() + static_cast<std::size_t>(s) * n_;
+    for (Vertex d = 0; d < n_; ++d) {
+      ports.clear();
+      const std::uint32_t dist = route_of(s, d, ports);
+      // The DistanceMatrix narrowing convention: graph::kUnreachable <->
+      // 0xFFFF (the cast below). A matrix never holds a larger distance; a
+      // per-pair routing could.
+      if (dist != graph::kUnreachable && dist >= 0xFFFFu) {
+        throw std::logic_error("Network: routing distance overflows uint16");
+      }
+      Route r{static_cast<std::uint16_t>(dist),
+              static_cast<std::uint16_t>(ports.size()), {0, 0}};
+      const bool inline_ports = ports.size() <= kInlinePorts;
+      if (inline_ports) {
+        std::ranges::copy(ports, r.ports);
+      } else {
+        std::uint64_t set = 0;
+        for (std::uint16_t p : ports) set |= 1ull << (p & 63);
+        set ^= set >> 32;
+        r.ports[0] = static_cast<std::uint16_t>(set);
+        r.ports[1] = static_cast<std::uint16_t>(set >> 16);
+      }
+      const auto key = std::bit_cast<std::uint64_t>(r);
+      std::size_t i = key * 0x9E3779B97F4A7C15ull >> shift;
+      for (; slots[i].id != 0; i = (i + 1) & mask) {
+        if (slots[i].key == key &&
+            (inline_ports || std::ranges::equal(
+                                 ports_of(entries_[base + slots[i].id - 1]),
+                                 ports))) {
+          break;
+        }
+      }
+      if (slots[i].id != 0) {
+        ids[d] = static_cast<std::uint16_t>(slots[i].id - 1);
+        continue;
+      }
+      // A new route for this row: ids stay below n <= 0xFFFF.
+      const auto id = static_cast<std::uint32_t>(entries_.size() - base);
+      ids[d] = static_cast<std::uint16_t>(id);
+      slots[i] = {key, id + 1};
+      used.push_back(i);
+      if (!inline_ports) {
+        const auto offset = static_cast<std::uint32_t>(overflow_ports_.size());
+        r.ports[0] = static_cast<std::uint16_t>(offset);
+        r.ports[1] = static_cast<std::uint16_t>(offset >> 16);
+        overflow_ports_.insert(overflow_ports_.end(), ports.begin(),
+                               ports.end());
+      }
+      entries_.push_back(r);
+    }
   }
-  Route& r = routes_[static_cast<std::size_t>(s) * n_ + d];
-  r.dist = dist == graph::kUnreachable ? std::uint16_t{0xFFFFu}
-                                       : static_cast<std::uint16_t>(dist);
-  r.count = static_cast<std::uint16_t>(ports.size());
-  std::uint16_t* out = r.ports;
-  if (ports.size() > kInlinePorts) {
-    const auto offset = static_cast<std::uint32_t>(overflow_ports_.size());
-    r.ports[0] = static_cast<std::uint16_t>(offset);
-    r.ports[1] = static_cast<std::uint16_t>(offset >> 16);
-    overflow_ports_.resize(offset + ports.size());
-    out = overflow_ports_.data() + offset;
-  }
-  std::copy(ports.begin(), ports.end(), out);
 }
 
 std::uint32_t Network::port_toward(Vertex r, Vertex u) const {

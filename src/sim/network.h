@@ -1,12 +1,21 @@
 // Static per-topology precomputation for the flit-level simulator: port
 // numbering (link ports first, then injection/ejection per endpoint slot),
-// one flattened (distance, minimal-route ports) table over router pairs
+// a flattened (distance, minimal-route ports) table over router pairs
 // derived from a MinimalRouting, plus per-directed-link neighbor/peer/owner
 // arrays so the cycle loop never chases the shared_ptr/virtual routing
 // chain per hop.
 //
-// The route table is built one of two ways, chosen by the routing itself
-// (the Network never inspects the routing's type):
+// The route table stores each source router's distinct routes once. A
+// route is a (distance, ports in routing order) entry; pair (s, d) holds a
+// 2-byte id local to row s, so a lookup is the id, then row s's entry. A
+// diameter-3 network has few distinct routes per router (at most 81 on
+// full Table 3 PS-IQ, against 1064 destinations), so the n x n part is 2
+// bytes a pair instead of one 8-byte entry a pair plus duplicated port
+// lists.
+//
+// The table is built one of two ways, chosen by the routing itself (the
+// Network never inspects the routing's type); both feed the same
+// per-row dedupe:
 //   - Rows. A graph-minimal routing (TableRouting, PolarStarAnalyticRouting)
 //     hands over a distance matrix through
 //     MinimalRouting::minimal_distances(). Pair (s, d) then gets the link
@@ -57,7 +66,9 @@ inline std::uint64_t flow_path_hash(graph::Vertex src_router,
 /// state), which is what runlab::ExperimentRunner relies on.
 class Network {
  public:
-  /// Both pointers must be non-null (throws std::invalid_argument).
+  /// Both pointers must be non-null (throws std::invalid_argument). A
+  /// topology of more than graph::DistanceMatrix::kMaxVertices routers
+  /// throws std::length_error before anything n x n is allocated.
   Network(std::shared_ptr<const topo::Topology> topo,
           std::shared_ptr<const routing::MinimalRouting> routing);
 
@@ -89,18 +100,15 @@ class Network {
   /// Minimal-route candidate ports from cur toward dst (empty iff cur==dst).
   std::span<const std::uint16_t> route_ports(graph::Vertex cur,
                                              graph::Vertex dst) const {
-    const Route& r = routes_[static_cast<std::size_t>(cur) * n_ + dst];
-    if (r.count <= kInlinePorts) return {r.ports, r.count};
-    return {overflow_ports_.data() + r.overflow_offset(), r.count};
+    return ports_of(route(cur, dst));
   }
 
   /// Pristine hop distance, resolved once at construction (0xFFFF =
   /// graph::kUnreachable, the DistanceMatrix convention); bit-identical to
-  /// routing().distance() but one load instead of a virtual call into the
-  /// analytic case analysis.
+  /// routing().distance() but a table lookup instead of a virtual call
+  /// into the analytic case analysis.
   std::uint32_t distance(graph::Vertex src, graph::Vertex dst) const {
-    const std::uint16_t d =
-        routes_[static_cast<std::size_t>(src) * n_ + dst].dist;
+    const std::uint16_t d = route(src, dst).dist;
     return d == 0xFFFFu ? graph::kUnreachable : d;
   }
 
@@ -126,14 +134,10 @@ class Network {
   std::size_t port_base(graph::Vertex r) const { return port_base_[r]; }
 
  private:
-  /// Stores pair (s, d)'s narrowed distance and its candidate ports.
-  void set_route(graph::Vertex s, graph::Vertex d, std::uint32_t dist,
-                 std::span<const std::uint16_t> ports);
-
-  // One (src, dst) entry: distance plus candidate ports, so a lookup is
-  // one 8-byte load. Lists of up to kInlinePorts ports (most pairs of a
-  // diameter-3 network) sit inline; longer ones in overflow_ports_, whose
-  // offset the two port slots then hold.
+  // One distinct route of a source row: distance plus candidate ports, 8
+  // bytes. Lists of up to kInlinePorts ports (most routes of a diameter-3
+  // network) sit inline; longer ones in overflow_ports_, whose offset the
+  // two port slots then hold.
   static constexpr std::uint16_t kInlinePorts = 2;
   struct Route {
     std::uint16_t dist;
@@ -144,6 +148,20 @@ class Network {
     }
   };
 
+  const Route& route(graph::Vertex src, graph::Vertex dst) const {
+    return entries_[row_base_[src] +
+                    entry_id_[static_cast<std::size_t>(src) * n_ + dst]];
+  }
+  std::span<const std::uint16_t> ports_of(const Route& r) const {
+    if (r.count <= kInlinePorts) return {r.ports, r.count};
+    return {overflow_ports_.data() + r.overflow_offset(), r.count};
+  }
+
+  /// Fills the route table row by row: route_of(s, d, ports) returns pair
+  /// (s, d)'s distance and leaves its ports in `ports`.
+  template <typename RouteOf>
+  void build_routes(RouteOf&& route_of);
+
   std::shared_ptr<const topo::Topology> topo_;
   std::shared_ptr<const routing::MinimalRouting> routing_;
   std::uint32_t n_ = 0;
@@ -153,8 +171,10 @@ class Network {
   std::vector<graph::Vertex> link_neighbor_;    // per directed link
   std::vector<std::uint32_t> peer_port_;        // per directed link
   std::vector<graph::Vertex> link_router_;      // per directed link
-  std::vector<Route> routes_;                   // n x n
-  std::vector<std::uint16_t> overflow_ports_;
+  std::vector<std::uint16_t> entry_id_;         // n x n, local to row src
+  std::vector<std::uint32_t> row_base_;         // row src's first entry
+  std::vector<Route> entries_;                  // each row's distinct routes
+  std::vector<std::uint16_t> overflow_ports_;   // lists past kInlinePorts
 };
 
 }  // namespace polarstar::sim

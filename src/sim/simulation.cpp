@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
+#include <limits>
 #include <span>
 #include <stdexcept>
 
@@ -87,6 +88,16 @@ Simulation::Simulation(const Network& net, const SimParams& prm,
   if (prm_.link_latency > 0xFFFF || prm_.credit_latency > 0xFFFF) {
     throw std::invalid_argument(
         "Simulation: link_latency and credit_latency must be in [0, 65535]");
+  }
+  // The run ends at warmup + measure + drain cycles; a sum that wraps
+  // would end the window before it starts.
+  constexpr auto kMaxCycles = std::numeric_limits<std::uint64_t>::max();
+  if (prm_.measure_cycles > kMaxCycles - prm_.warmup_cycles ||
+      prm_.drain_cycles >
+          kMaxCycles - prm_.warmup_cycles - prm_.measure_cycles) {
+    throw std::invalid_argument(
+        "Simulation: warmup_cycles + measure_cycles + drain_cycles "
+        "overflows uint64");
   }
   if (prm_.faults != nullptr && !prm_.faults->empty()) {
     // A malformed event fails here, before cycle 0.

@@ -185,6 +185,37 @@ RouteCase table_case(const char* name, topo::Topology t) {
   return {name, topo, routing::make_table_routing(topo->g)};
 }
 
+// A topology of one endpoint per router over the given edges.
+topo::Topology edge_topology(g::Vertex n, const std::vector<g::Edge>& edges) {
+  topo::Topology t;
+  t.g = g::Graph::from_edges(n, edges);
+  t.conc.assign(n, 1);
+  t.finalize();
+  return t;
+}
+
+// A cycle over routers [first, first + n).
+void add_ring(std::vector<g::Edge>& edges, g::Vertex first, g::Vertex n) {
+  for (g::Vertex i = 0; i < n; ++i) {
+    edges.push_back({first + i, first + (i + 1) % n});
+  }
+}
+
+// Minimal routing on the path 0 - 1 - ... - n-1, answered pair by pair
+// without any table (minimal_distances() is nullptr).
+class PathRouting final : public routing::MinimalRouting {
+ public:
+  std::uint32_t distance(g::Vertex src, g::Vertex dst) const override {
+    return src < dst ? dst - src : src - dst;
+  }
+  void next_hops(g::Vertex cur, g::Vertex dst,
+                 std::vector<g::Vertex>& out) const override {
+    if (cur != dst) out.push_back(cur < dst ? cur + 1 : cur - 1);
+  }
+  std::size_t storage_entries() const override { return 0; }
+  std::string name() const override { return "path"; }
+};
+
 }  // namespace
 
 // The Network's flattened distance and route-port tables must agree with
@@ -198,11 +229,21 @@ RouteCase table_case(const char* name, topo::Topology t) {
 // answers from the analytic case analysis, so this also pins analytic
 // distance = BFS on every pair at Table 3 scale. Dragonfly's hierarchical
 // routing keeps the per-pair path, so its graph-minimal table is the
-// row-path case here.
+// row-path case here. Two more graphs pin the row-local route ids: a
+// 600-router ring, whose rows hold 600 distinct routes each, and a
+// disconnected graph, whose unreachable pairs read graph::kUnreachable with
+// no ports.
 TEST(PerfEquivalence, FlatNetworkTablesMatchVirtualRouting) {
   auto jellyfish = polarstar::analysis::build_largest(
       polarstar::analysis::Family::kJellyfish, 8, 400);
   ASSERT_TRUE(jellyfish.has_value());
+  // Ring: each row has 600 distinct (distance, port) routes, more than a
+  // one-byte route id holds. Split: a triangle and a 5-ring, so pairs
+  // across them are unreachable.
+  std::vector<g::Edge> ring, split;
+  add_ring(ring, 0, 600);
+  add_ring(split, 0, 3);
+  add_ring(split, 3, 5);
   const std::vector<RouteCase> cases = {
       polarstar_case("PS-IQ", {5, 3, core::SupernodeKind::kInductiveQuad, 3}),
       polarstar_case("PS-Pal", {4, 4, core::SupernodeKind::kPaley, 3}),
@@ -215,9 +256,12 @@ TEST(PerfEquivalence, FlatNetworkTablesMatchVirtualRouting) {
       table_case("Jellyfish", std::move(*jellyfish)),
       polarstar_case("PS-IQ full",
                      {11, 3, core::SupernodeKind::kInductiveQuad, 5}),
+      table_case("ring 600", edge_topology(600, ring)),
+      table_case("split", edge_topology(8, split)),
   };
   std::vector<g::Vertex> hops;
   std::size_t overflow_lists = 0;  // longer than the inline two ports
+  std::size_t unreachable = 0;
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
     ASSERT_NE(c.routing->minimal_distances(), nullptr);
@@ -227,6 +271,10 @@ TEST(PerfEquivalence, FlatNetworkTablesMatchVirtualRouting) {
     for (g::Vertex s = 0; s < rows.num_routers(); ++s) {
       for (g::Vertex d = 0; d < rows.num_routers(); ++d) {
         ASSERT_EQ(rows.distance(s, d), c.routing->distance(s, d));
+        if (rows.distance(s, d) == g::kUnreachable) {
+          ++unreachable;
+          ASSERT_TRUE(rows.route_ports(s, d).empty()) << s << " -> " << d;
+        }
         hops.clear();
         c.routing->next_hops(s, d, hops);
         const auto ports = rows.route_ports(s, d);
@@ -243,9 +291,22 @@ TEST(PerfEquivalence, FlatNetworkTablesMatchVirtualRouting) {
     }
   }
   EXPECT_GT(overflow_lists, 0u);
+  EXPECT_EQ(unreachable, 2u * 3 * 5);  // the split case's cross pairs
   const auto df = std::make_shared<const topo::Topology>(
       topo::dragonfly::build({4, 2, 2}));
   EXPECT_EQ(routing::DragonflyRouting(df).minimal_distances(), nullptr);
+}
+
+// Route ids are 16-bit, so a Network of more than 0xFFFF routers is
+// rejected before its n x n id table (8.6 GB at 65,536 routers) is allocated,
+// on the per-pair path too, where no DistanceMatrix refuses it first.
+TEST(PerfEquivalence, NetworkRejectsMoreThan65535Routers) {
+  std::vector<g::Edge> path;
+  for (g::Vertex v = 0; v + 1 < 65536; ++v) path.push_back({v, v + 1});
+  const auto t =
+      std::make_shared<const topo::Topology>(edge_topology(65536, path));
+  EXPECT_THROW(sim::Network(t, std::make_shared<PathRouting>()),
+               std::length_error);
 }
 
 // Per-directed-link inverses: peer_port is the far end's input-port index.

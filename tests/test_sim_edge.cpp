@@ -174,6 +174,29 @@ TEST(SimEdge, RejectsHugeLatencies) {
   EXPECT_NO_THROW(sim::Simulation(net, edge, src));
 }
 
+TEST(SimEdge, RejectsOverflowingRunWindow) {
+  // The run ends at warmup + measure + drain cycles; a sum that wraps past
+  // 2^64 - 1 would end before measuring anything, so it is rejected.
+  auto t = std::make_shared<topo::Topology>(path_topology(3));
+  auto r = routing::make_table_routing(t->g);
+  sim::Network net(t, r);
+  ScriptedSource src({});
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (int which = 0; which < 3; ++which) {
+    sim::SimParams prm;
+    prm.warmup_cycles = which == 0 ? kMax : 100;
+    prm.measure_cycles = which == 1 ? kMax - 99 : 100;
+    prm.drain_cycles = which == 2 ? kMax - 199 : 100;
+    EXPECT_THROW(sim::Simulation(net, prm, src), std::invalid_argument)
+        << which;
+  }
+  sim::SimParams edge;
+  edge.warmup_cycles = 100;
+  edge.measure_cycles = 100;
+  edge.drain_cycles = kMax - 200;
+  EXPECT_NO_THROW(sim::Simulation(net, edge, src));
+}
+
 TEST(SimEdge, CreditLatencySlowsTightBuffers) {
   // With one-packet buffers, delayed credits throttle the pipeline; with
   // roomy buffers the effect at low load is negligible.

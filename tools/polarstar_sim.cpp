@@ -8,11 +8,13 @@
 //     mode:    min min-adaptive ugal        (default min)
 //     loads:   numbers in (0,1]             (default 0.1..0.9)
 //     keys:    vcs= buffers= flits= warmup= measure= drain= seed= link=
-//              (non-negative integers)
+//              (non-negative integers; vcs defaults to 4, or to 8 under
+//              ugal, and an explicit vcs= wins in any position)
 //
 // A malformed argument, or one the simulator rejects (unknown topology,
 // vcs outside [1, 32], buffers or flits outside [1, 65535], link above
-// 65535), prints usage and exits with status 2.
+// 65535, warmup + measure + drain past 2^64 - 1), prints usage and exits
+// with status 2.
 //
 // Example:
 //   polarstar_sim PS-IQ uniform ugal 0.2 0.4 0.6 vcs=8 seed=3
@@ -66,6 +68,7 @@ int main(int argc, char** argv) {
   prm.measure_cycles = 2000;
   prm.drain_cycles = 12000;
   bool adaptive = false;
+  bool vcs_given = false;
   std::vector<double> loads;
 
   for (int i = 2; i < argc; ++i) {
@@ -75,7 +78,7 @@ int main(int argc, char** argv) {
       const std::string key = arg.substr(0, eq);
       const std::string_view val = std::string_view(arg).substr(eq + 1);
       bool ok = false;
-      if (key == "vcs") ok = parse_whole(val, prm.num_vcs);
+      if (key == "vcs") ok = vcs_given = parse_whole(val, prm.num_vcs);
       else if (key == "buffers") ok = parse_whole(val, prm.vc_buffer_flits);
       else if (key == "flits") ok = parse_whole(val, prm.packet_flits);
       else if (key == "warmup") ok = parse_whole(val, prm.warmup_cycles);
@@ -96,7 +99,6 @@ int main(int argc, char** argv) {
       adaptive = true;
     } else if (arg == "ugal") {
       prm.path_mode = sim::PathMode::kUgal;
-      prm.num_vcs = std::max(prm.num_vcs, 8u);
     } else {
       double load = 0.0;
       if (!parse_whole(arg, load)) {
@@ -109,6 +111,8 @@ int main(int argc, char** argv) {
     }
   }
   if (loads.empty()) loads = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
+  // UGAL's Valiant paths need more VCs than minimal ones.
+  if (prm.path_mode == sim::PathMode::kUgal && !vcs_given) prm.num_vcs = 8;
   prm.min_select =
       adaptive ? sim::MinSelect::kAdaptive : sim::MinSelect::kSingleHash;
 
