@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the library's hot primitives:
 // field arithmetic, topology construction, BFS sweeps, analytic routing
 // decisions, partitioner, simulator cycle throughput, sim::Network
-// construction and route lookup, and the fault layer's per-epoch
-// survivor-table update.
+// construction (analytic and table-routed) and route lookup, and the fault
+// layer's per-epoch survivor-table update.
 #include <benchmark/benchmark.h>
 
 #include "core/polarstar.h"
@@ -17,6 +17,7 @@
 #include "sim/network.h"
 #include "sim/simulation.h"
 #include "sim/traffic.h"
+#include "topo/hyperx.h"
 
 using namespace polarstar;
 
@@ -171,6 +172,20 @@ static void BM_NetworkBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkBuild)->Arg(5)->Arg(7)->Arg(11)->Unit(
     benchmark::kMillisecond);
+
+// A table-routed family's whole setup on the full Table 3 HyperX
+// ({9, 9, 8} x 8, 648 routers): TableRouting's BFS distance matrix and
+// all-minpath next-hop table, then the sim::Network route table derived
+// from the matrix rows.
+static void BM_TableNetworkBuild(benchmark::State& state) {
+  const auto topo = std::make_shared<const topo::Topology>(
+      topo::hyperx::build({{9, 9, 8}, 8}));
+  for (auto _ : state) {
+    sim::Network net(topo, routing::make_table_routing(topo->g));
+    benchmark::DoNotOptimize(net.total_link_ports());
+  }
+}
+BENCHMARK(BM_TableNetworkBuild)->Unit(benchmark::kMillisecond);
 
 // One route_ports + distance lookup on full Table 3 PS-IQ at a pseudo-random
 // (s, d) pair: the per-hop query of the engine's dominant switch-allocation

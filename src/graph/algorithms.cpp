@@ -1,8 +1,11 @@
 #include "graph/algorithms.h"
 
 #include <atomic>
+#include <exception>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 namespace polarstar::graph {
@@ -14,19 +17,39 @@ void parallel_for(std::size_t n, unsigned num_threads,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
+  // The calling thread is one of the workers. The first exception any
+  // worker throws stops the hand-out of further indices and is rethrown
+  // here once every worker has joined.
   std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
   auto worker = [&] {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      fn(i);
+    try {
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
+        fn(i);
+      }
+    } catch (...) {
+      next.store(n, std::memory_order_relaxed);
+      std::scoped_lock lk(error_mu);
+      if (!error) error = std::current_exception();
     }
   };
   std::vector<std::thread> pool;
-  unsigned spawn = static_cast<unsigned>(
-      std::min<std::size_t>(num_threads, n));
+  const auto spawn =
+      static_cast<unsigned>(std::min<std::size_t>(num_threads, n)) - 1;
   pool.reserve(spawn);
-  for (unsigned t = 0; t < spawn; ++t) pool.emplace_back(worker);
+  for (unsigned t = 0; t < spawn; ++t) {
+    // A thread the system refuses leaves its share to the others.
+    try {
+      pool.emplace_back(worker);
+    } catch (const std::system_error&) {
+      break;
+    }
+  }
+  worker();
   for (auto& th : pool) th.join();
+  if (error) std::rethrow_exception(error);
 }
 
 namespace {
@@ -217,28 +240,34 @@ std::size_t DistanceMatrix::update(const Graph& g,
 }
 
 MinimalNextHops::MinimalNextHops(const Graph& g, const DistanceMatrix& dist)
-    : n_(g.num_vertices()) {
+    : n_(g.num_vertices()), ranges_(static_cast<std::size_t>(n_) * n_) {
   const auto closer = [&](Vertex s, Vertex d, auto&& emit) {
     const auto nb = g.neighbors(s);
     for_each_closer_neighbor(
         nb, dist.distance(s, d), [&](Vertex w) { return dist.distance(w, d); },
         [&](std::uint32_t i) { emit(nb[i]); });
   };
-  // First sweep: count, so hops_ is allocated once; second sweep: fill.
-  std::size_t total = 0;
-  for (Vertex s = 0; s < n_; ++s) {
-    for (Vertex d = 0; d < n_; ++d) closer(s, d, [&](Vertex) { ++total; });
-  }
-  hops_.reserve(total);
-  ranges_.resize(static_cast<std::size_t>(n_) * n_);
-  for (Vertex s = 0; s < n_; ++s) {
+  // Count every row's hops in parallel, lay the rows out with one prefix
+  // sum, then fill each row in parallel at its offset: the table is the
+  // same at any thread count, and hops_ is allocated once, here.
+  std::vector<std::size_t> row_begin(static_cast<std::size_t>(n_) + 1, 0);
+  parallel_for(n_, 0, [&](std::size_t s) {
+    std::size_t count = 0;
     for (Vertex d = 0; d < n_; ++d) {
-      const auto b = static_cast<std::uint32_t>(hops_.size());
-      closer(s, d, [&](Vertex w) { hops_.push_back(w); });
-      ranges_[static_cast<std::size_t>(s) * n_ + d] = {
-          b, static_cast<std::uint32_t>(hops_.size())};
+      closer(static_cast<Vertex>(s), d, [&](Vertex) { ++count; });
     }
-  }
+    row_begin[s + 1] = count;
+  });
+  std::partial_sum(row_begin.begin(), row_begin.end(), row_begin.begin());
+  hops_.resize(row_begin[n_]);
+  parallel_for(n_, 0, [&](std::size_t s) {
+    std::size_t at = row_begin[s];
+    for (Vertex d = 0; d < n_; ++d) {
+      const auto b = static_cast<std::uint32_t>(at);
+      closer(static_cast<Vertex>(s), d, [&](Vertex w) { hops_[at++] = w; });
+      ranges_[s * n_ + d] = {b, static_cast<std::uint32_t>(at)};
+    }
+  });
 }
 
 }  // namespace polarstar::graph

@@ -2,8 +2,9 @@
 // average shortest path length, connectivity, and minimal-path next-hop
 // tables for routing.
 //
-// Whole-graph sweeps (diameter, APL) fan BFS sources out over a small thread
-// pool; results are deterministic regardless of thread count.
+// Whole-graph sweeps (diameter, APL, distance matrices, next-hop tables)
+// fan source rows out over a small thread pool; results are deterministic
+// regardless of thread count.
 #pragma once
 
 #include <algorithm>
@@ -129,7 +130,8 @@ class DistanceMatrix {
 /// All minimal next hops: next(src, dst) = every neighbor w of src with
 /// dist(w, dst) == dist(src, dst) - 1 (for_each_closer_neighbor). This is
 /// the "all minpaths stored in a routing table" scheme the paper
-/// attributes to Spectralfly/Bundlefly.
+/// attributes to Spectralfly/Bundlefly. Built on every hardware thread;
+/// the table is identical at any thread count.
 class MinimalNextHops {
  public:
   MinimalNextHops(const Graph& g, const DistanceMatrix& dist);
@@ -148,7 +150,11 @@ class MinimalNextHops {
   std::vector<Vertex> hops_;
 };
 
-/// Runs fn(i) for i in [0, n) on `num_threads` threads (0 = hardware).
+/// Runs fn(i) for i in [0, n) on `num_threads` threads (0 = hardware),
+/// the calling thread among them; with one thread, or n <= 1, it runs
+/// inline in index order. The first exception fn throws stops further
+/// indices from starting and is rethrown on the caller after every worker
+/// has joined.
 void parallel_for(std::size_t n, unsigned num_threads,
                   const std::function<void(std::size_t)>& fn);
 

@@ -118,12 +118,13 @@ class PolarStarAnalyticRouting final : public MinimalRouting {
     return impl_.storage_entries();
   }
   std::string name() const override { return "polarstar-analytic"; }
-  /// A fresh single-thread BFS matrix of the PolarStar graph: the analytic
+  /// A fresh BFS matrix of the PolarStar graph, its source rows swept on
+  /// every hardware thread (identical at any thread count): the analytic
   /// distance equals BFS on every pair (tests/test_routing_analytic.cpp).
   /// Built on request only; the routing itself stays table-free.
   std::shared_ptr<const graph::DistanceMatrix> minimal_distances()
       const override {
-    return std::make_shared<const graph::DistanceMatrix>(ps_->graph(), 1);
+    return std::make_shared<const graph::DistanceMatrix>(ps_->graph());
   }
 
   const std::shared_ptr<const core::PolarStar>& polarstar() const {

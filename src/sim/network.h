@@ -29,6 +29,13 @@
 // Both give the same table for a graph-minimal routing (the `perf` ctest
 // label builds every simulated family both ways and compares them).
 //
+// The dedupe runs over contiguous blocks of source rows on every hardware
+// thread (graph::parallel_for), so the per-pair path queries the routing
+// from several threads at once, as MinimalRouting's thread-safety
+// contract allows. The constructing thread joins the blocks in row order
+// and allocates every array the Network keeps: the table is byte-identical
+// at any thread count.
+//
 // The route and distance tables are a *simulator acceleration*: the
 // storage the paper compares is reported by
 // MinimalRouting::storage_entries(), not by this cache. Every flattened
@@ -146,6 +153,10 @@ class Network {
     std::uint32_t overflow_offset() const {
       return ports[0] | static_cast<std::uint32_t>(ports[1]) << 16;
     }
+    void set_overflow_offset(std::uint32_t offset) {
+      ports[0] = static_cast<std::uint16_t>(offset);
+      ports[1] = static_cast<std::uint16_t>(offset >> 16);
+    }
   };
 
   const Route& route(graph::Vertex src, graph::Vertex dst) const {
@@ -157,8 +168,11 @@ class Network {
     return {overflow_ports_.data() + r.overflow_offset(), r.count};
   }
 
-  /// Fills the route table row by row: route_of(s, d, ports) returns pair
-  /// (s, d)'s distance and leaves its ports in `ports`.
+  /// Fills the route table in row blocks on every hardware thread:
+  /// route_of(s, d, scratch) returns pair (s, d)'s distance and leaves its
+  /// ports in scratch.ports (a RouteScratch, network.cpp). It is called
+  /// concurrently from several threads, each with its own scratch; an
+  /// exception it throws reaches the constructor's caller.
   template <typename RouteOf>
   void build_routes(RouteOf&& route_of);
 

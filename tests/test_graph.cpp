@@ -1,13 +1,21 @@
 // Graph substrate tests: CSR construction, BFS, diameter/APL, components,
-// distance matrices and minimal next-hop tables.
+// distance matrices, minimal next-hop tables and parallel_for, including
+// an error thrown inside a parallel sim::Network build.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "graph/algorithms.h"
 #include "graph/graph.h"
+#include "routing/routing.h"
+#include "sim/network.h"
+#include "topo/topology.h"
 
 namespace g = polarstar::graph;
 using g::Graph;
@@ -203,8 +211,114 @@ TEST(Algorithms, MinimalNextHops) {
   EXPECT_GT(nh.storage_entries(), 0u);
 }
 
+// Rows far outnumber any host's threads, and the two components leave
+// pairs with no path: every pair must hold exactly the neighbours one hop
+// closer, in sorted-neighbour order, and an unreachable pair none.
+TEST(Algorithms, MinimalNextHopsManyRowsAndDisconnectedPairs) {
+  // A 300-ring with chords every 7 routers, and a separate 40-ring.
+  std::vector<g::Edge> edges;
+  for (Vertex v = 0; v < 300; ++v) edges.push_back({v, (v + 1) % 300});
+  for (Vertex v = 0; v < 300; v += 7) edges.push_back({v, (v + 150) % 300});
+  for (Vertex v = 0; v < 40; ++v) {
+    edges.push_back({300 + v, 300 + (v + 1) % 40});
+  }
+  const Graph g = Graph::from_edges(340, edges);
+  const g::DistanceMatrix dm(g);
+  const g::MinimalNextHops nh(g, dm);
+  std::size_t total = 0, unreachable = 0;
+  for (Vertex s = 0; s < g.num_vertices(); ++s) {
+    for (Vertex t = 0; t < g.num_vertices(); ++t) {
+      std::vector<Vertex> want;
+      if (dm.distance(s, t) != g::kUnreachable) {
+        for (Vertex w : g.neighbors(s)) {
+          if (dm.at(w, t) + 1 == dm.at(s, t)) want.push_back(w);
+        }
+      } else {
+        ++unreachable;
+      }
+      const auto got = nh.next_hops(s, t);
+      ASSERT_TRUE(std::ranges::equal(got, want)) << s << " -> " << t;
+      total += want.size();
+    }
+  }
+  EXPECT_EQ(unreachable, 2u * 300 * 40);
+  EXPECT_EQ(nh.storage_entries(), total);
+}
+
 TEST(Algorithms, ParallelForCoversAll) {
   std::vector<std::atomic<int>> hits(100);
   g::parallel_for(100, 4, [&](std::size_t i) { hits[i]++; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// A throw at one index reaches the caller after every worker has joined,
+// instead of terminating the process from a worker thread.
+TEST(Algorithms, ParallelForRethrowsOnTheCaller) {
+  std::atomic<int> ran{0};
+  EXPECT_THROW(g::parallel_for(100, 4,
+                               [&](std::size_t i) {
+                                 ++ran;
+                                 if (i == 37) throw std::runtime_error("37");
+                               }),
+               std::runtime_error);
+  EXPECT_GE(ran.load(), 1);
+  EXPECT_LE(ran.load(), 100);
+  // Inline (one thread), the throw stops the loop at its index.
+  int inline_ran = 0;
+  EXPECT_THROW(g::parallel_for(100, 1,
+                               [&](std::size_t i) {
+                                 ++inline_ran;
+                                 if (i == 37) throw std::runtime_error("37");
+                               }),
+               std::runtime_error);
+  EXPECT_EQ(inline_ran, 38);
+}
+
+namespace {
+
+// Minimal routing on a ring, answered pair by pair (minimal_distances() is
+// nullptr), except that one pair's distance is 70000: more than the
+// Network's uint16 distances hold.
+class OverflowingRingRouting final : public polarstar::routing::MinimalRouting {
+ public:
+  OverflowingRingRouting(Vertex n, Vertex bad_src, Vertex bad_dst)
+      : n_(n), bad_src_(bad_src), bad_dst_(bad_dst) {}
+  std::uint32_t distance(Vertex src, Vertex dst) const override {
+    if (src == bad_src_ && dst == bad_dst_) return 70000;
+    const Vertex fwd = (dst + n_ - src) % n_;
+    return std::min(fwd, n_ - fwd);
+  }
+  void next_hops(Vertex cur, Vertex dst,
+                 std::vector<Vertex>& out) const override {
+    if (cur == dst) return;
+    const Vertex fwd = (dst + n_ - cur) % n_;
+    if (fwd <= n_ - fwd) out.push_back((cur + 1) % n_);
+    if (fwd >= n_ - fwd) out.push_back((cur + n_ - 1) % n_);
+  }
+  std::size_t storage_entries() const override { return 0; }
+  std::string name() const override { return "overflowing-ring"; }
+
+ private:
+  Vertex n_, bad_src_, bad_dst_;
+};
+
+}  // namespace
+
+// The route table's "distance overflows uint16" check fires inside a row
+// block, on whichever thread builds it; the Network constructor must still
+// throw it to its caller. Every row block but the bad pair's is fine.
+TEST(Algorithms, NetworkRethrowsARowBlocksError) {
+  const Vertex n = 500;
+  auto t = std::make_shared<polarstar::topo::Topology>();
+  t->g = cycle_graph(n);
+  t->conc.assign(n, 1);
+  t->finalize();
+  const std::shared_ptr<const polarstar::topo::Topology> topo = t;
+  EXPECT_THROW(polarstar::sim::Network(
+                   topo, std::make_shared<OverflowingRingRouting>(n, 411, 3)),
+               std::logic_error);
+  const polarstar::sim::Network ok(
+      topo, std::make_shared<OverflowingRingRouting>(n, n, n));
+  EXPECT_EQ(ok.distance(411, 3), 92u);
+  EXPECT_EQ(ok.route_ports(0, 250).size(), 2u);
 }

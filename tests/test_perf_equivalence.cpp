@@ -232,7 +232,9 @@ class PathRouting final : public routing::MinimalRouting {
 // row-path case here. Two more graphs pin the row-local route ids: a
 // 600-router ring, whose rows hold 600 distinct routes each, and a
 // disconnected graph, whose unreachable pairs read graph::kUnreachable with
-// no ports.
+// no ports. The smallest cases pin the split of rows into parallel build
+// blocks: 1, 2 and 3 routers, and a 32-router hypercube (fewer routers
+// than blocks, with port lists past the inline two).
 TEST(PerfEquivalence, FlatNetworkTablesMatchVirtualRouting) {
   auto jellyfish = polarstar::analysis::build_largest(
       polarstar::analysis::Family::kJellyfish, 8, 400);
@@ -240,10 +242,15 @@ TEST(PerfEquivalence, FlatNetworkTablesMatchVirtualRouting) {
   // Ring: each row has 600 distinct (distance, port) routes, more than a
   // one-byte route id holds. Split: a triangle and a 5-ring, so pairs
   // across them are unreachable.
-  std::vector<g::Edge> ring, split;
+  std::vector<g::Edge> ring, split, cube;
   add_ring(ring, 0, 600);
   add_ring(split, 0, 3);
   add_ring(split, 3, 5);
+  for (g::Vertex v = 0; v < 32; ++v) {
+    for (g::Vertex bit = 1; bit < 32; bit <<= 1) {
+      if ((v & bit) == 0) cube.push_back({v, v | bit});
+    }
+  }
   const std::vector<RouteCase> cases = {
       polarstar_case("PS-IQ", {5, 3, core::SupernodeKind::kInductiveQuad, 3}),
       polarstar_case("PS-Pal", {4, 4, core::SupernodeKind::kPaley, 3}),
@@ -258,6 +265,10 @@ TEST(PerfEquivalence, FlatNetworkTablesMatchVirtualRouting) {
                      {11, 3, core::SupernodeKind::kInductiveQuad, 5}),
       table_case("ring 600", edge_topology(600, ring)),
       table_case("split", edge_topology(8, split)),
+      table_case("1 router", edge_topology(1, {})),
+      table_case("2 routers", edge_topology(2, {{0, 1}})),
+      table_case("3 routers", edge_topology(3, {{0, 1}, {1, 2}})),
+      table_case("5-cube", edge_topology(32, cube)),
   };
   std::vector<g::Vertex> hops;
   std::size_t overflow_lists = 0;  // longer than the inline two ports

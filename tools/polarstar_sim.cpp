@@ -139,8 +139,7 @@ int main(int argc, char** argv) {
   }
   sim::Network net(topo, route);
 
-  std::printf("topology,pattern,mode,load,avg_latency,p99_latency,"
-              "accepted,avg_hops,stable\n");
+  bool header_printed = false;
   for (double load : loads) {
     auto src = sim::make_pattern_source(*topo, pattern, load,
                                         prm.packet_flits, prm.seed);
@@ -149,6 +148,13 @@ int main(int argc, char** argv) {
       s = std::make_unique<sim::Simulation>(net, prm, *src);
     } catch (const std::invalid_argument& e) {
       return usage_error(e.what());
+    }
+    // The header follows the first accepted Simulation, so a rejected run
+    // writes nothing to stdout.
+    if (!header_printed) {
+      std::printf("topology,pattern,mode,load,avg_latency,p99_latency,"
+                  "accepted,avg_hops,stable\n");
+      header_printed = true;
     }
     auto res = s->run();
     std::printf("%s,%s,%s,%.3f,%.2f,%.0f,%.4f,%.3f,%d\n", topo_name.c_str(),
